@@ -1,4 +1,4 @@
-"""Networked RPC front end: versioned binary protocol over TCP.
+"""Networked RPC front end: a binary frame protocol over TCP.
 
 The first process boundary in the codebase crossed by a socket: an
 asyncio server (:mod:`~repro.service.net.server`) fronts the existing
@@ -9,12 +9,11 @@ per-request pickle on the wire.  Layers, bottom-up:
 
 * :mod:`~repro.service.net.framing` — byte-level frames, the
   incremental decoder and the typed error vocabulary;
-* :mod:`~repro.service.net._v0` / :mod:`~repro.service.net._latest` /
-  :mod:`~repro.service.net._v2` / :mod:`~repro.service.net._factory` —
-  versioned protocol classes and the negotiation registry;
+* :mod:`~repro.service.net.protocol` — the one wire dialect (version
+  2): keyed, CRC-armoured SUBMIT and SUMMARY payloads;
 * :mod:`~repro.service.net.server` — the asyncio server: handshake,
-  session ids, per-session quotas, graceful drain, and (v2) the
-  per-lineage idempotency cache plus overload admission control;
+  session ids, per-session quotas, graceful drain, the per-lineage
+  idempotency cache and overload admission control;
 * :mod:`~repro.service.net.client` — the blocking :class:`Client` and
   in-memory :class:`MockClient` behind one :class:`CommonClient` base;
 * :mod:`~repro.service.net.resilience` — :class:`ResilientClient`:
@@ -40,13 +39,6 @@ Command line::
 See DESIGN.md section 12.
 """
 
-from ._factory import (
-    LATEST,
-    PROTOCOLS,
-    SUPPORTED_VERSIONS,
-    choose_version,
-    protocol_for_version,
-)
 from .framing import (
     MAX_FRAME_BYTES,
     BadMagic,
@@ -100,11 +92,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "LATEST",
-    "PROTOCOLS",
-    "SUPPORTED_VERSIONS",
-    "choose_version",
-    "protocol_for_version",
     "MAX_FRAME_BYTES",
     "Frame",
     "FrameDecoder",

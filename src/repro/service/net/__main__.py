@@ -108,16 +108,12 @@ def _add_batch_args(parser: argparse.ArgumentParser) -> None:
         "--chunk", type=int, default=32, metavar="N",
         help="requests per SUBMIT envelope (default 32)",
     )
-    parser.add_argument(
-        "--protocol", type=int, default=None, metavar="V",
-        help="pin the session to protocol version V (default: negotiate)",
-    )
 
 
 def _add_fault_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--resilient", action="store_true",
-        help="use the reconnecting ResilientClient (protocol v2)",
+        help="use the reconnecting ResilientClient",
     )
     parser.add_argument(
         "--toxic", action="append", default=[], metavar="SPEC",
@@ -194,7 +190,7 @@ def _make_client(
         return ResilientClient(
             host, port, timeout=args.timeout, seed=args.seed
         )
-    return Client(host, port, protocol=args.protocol, timeout=args.timeout)
+    return Client(host, port, timeout=args.timeout)
 
 
 def _retry_bound(args: argparse.Namespace, envelopes: int) -> int:
@@ -484,7 +480,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.service.net",
-        description="Versioned binary RPC front end for the simulator.",
+        description="Binary RPC front end for the simulator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -4,7 +4,7 @@ Two implementations share one :class:`CommonClient` contract, mirroring
 the exploration-tool pattern the ROADMAP points at:
 
 * :class:`Client` — a blocking TCP client: real sockets, real frames,
-  real version negotiation.  What applications and the CLI use.
+  a real handshake.  What applications and the CLI use.
 * :class:`MockClient` — an in-memory stand-in with the same surface
   that executes requests in-process.  What tests use when they want the
   client programming model without a server, and what the digest-parity
@@ -24,17 +24,11 @@ from __future__ import annotations
 import socket
 import uuid
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Type
+from typing import Dict, List, Optional, Sequence, Union
 
 from ...core.engine import RunRequest, RunSummary
 from ..batch import execute_request
-from ._factory import (
-    LATEST,
-    SUPPORTED_VERSIONS,
-    choose_version,
-    protocol_for_version,
-)
-from ._v0 import ProtocolV0
+from . import protocol
 from .framing import (
     FRAME_ACCEPT,
     FRAME_DRAIN,
@@ -44,6 +38,7 @@ from .framing import (
     FRAME_HELLO,
     FRAME_METRICS,
     FRAME_METRICS_REQ,
+    FRAME_NAMES,
     FRAME_NEGOTIATE,
     FRAME_RESUME,
     FRAME_RESUMED,
@@ -56,7 +51,6 @@ from .framing import (
     NetTimeout,
     ServerError,
     SessionClosed,
-    UnsupportedFrame,
     control_payload,
     encode_frame,
     parse_control,
@@ -94,14 +88,13 @@ class CommonClient:
     """
 
     def __init__(self) -> None:
-        self._protocol: Optional[Type[ProtocolV0]] = None
         self._session: Optional[int] = None
         self._quota: Optional[int] = None
         self._server_info: Dict[str, object] = {}
         self._requests: Dict[int, List[RunRequest]] = {}
         self._next_channel = 1
         #: SUMMARY frames answered from the server's idempotency cache
-        #: (protocol v2 FLAG_CACHED) — the duplicate-execution meter.
+        #: (the FLAG_CACHED bit) — the duplicate-execution meter.
         self.cache_hits = 0
 
     # -- session state -------------------------------------------------------
@@ -109,14 +102,14 @@ class CommonClient:
     @property
     def connected(self) -> bool:
         """Whether a session has been negotiated and not yet closed."""
-        return self._protocol is not None
+        return self._session is not None
 
     @property
     def protocol_version(self) -> int:
         """The negotiated protocol version of this session."""
-        if self._protocol is None:
+        if self._session is None:
             raise SessionClosed("client is not connected")
-        return int(self._protocol.version)
+        return protocol.VERSION
 
     @property
     def session_id(self) -> int:
@@ -140,7 +133,7 @@ class CommonClient:
     # -- contract ------------------------------------------------------------
 
     def connect(self) -> "CommonClient":
-        """Establish the session (handshake + version negotiation)."""
+        """Establish the session (HELLO → NEGOTIATE → ACCEPT)."""
         raise NotImplementedError
 
     def submit(
@@ -148,14 +141,18 @@ class CommonClient:
     ) -> int:
         """Ship one envelope of requests; returns its channel id.
 
-        ``key`` is the envelope's idempotency key (protocol v2+); when
-        omitted on a v2 session, the client generates one — every
-        envelope is resumable by default.  Pre-v2 sessions ignore it.
+        ``key`` is the envelope's idempotency key; when omitted, the
+        client generates one — every envelope is resumable by default.
         """
         raise NotImplementedError
 
     def collect(self, channel: int) -> List[RunSummary]:
-        """Block until ``channel``'s summaries arrive; return them."""
+        """Block until ``channel``'s summaries arrive; return them.
+
+        A survivable refusal of the envelope (``quota-exceeded``,
+        ``retry-after``) is its answer too: it is raised here as a
+        :class:`~repro.service.net.framing.ServerError`.
+        """
         raise NotImplementedError
 
     def drain(self) -> int:
@@ -163,7 +160,7 @@ class CommonClient:
         raise NotImplementedError
 
     def resume(self, lineage: str) -> List[str]:
-        """Bind the session to ``lineage`` (protocol v2+).
+        """Bind the session to ``lineage``.
 
         Returns the idempotency keys the server still holds cached
         results for — a reconnecting caller resubmits everything
@@ -240,9 +237,6 @@ class CommonClient:
 class Client(CommonClient):
     """Blocking TCP client of a :class:`~repro.service.net.server.NetServer`.
 
-    ``protocol`` pins the session to a specific version (``0`` forces
-    the v0 dialect — how the downgrade test drives a v0 client against a
-    latest server); ``None`` negotiates the highest mutual version.
     ``timeout`` bounds every socket operation: a dead or wedged server
     surfaces as a typed :class:`NetTimeout`, never a hang.
 
@@ -254,7 +248,6 @@ class Client(CommonClient):
         self,
         host: str,
         port: int,
-        protocol: Optional[int] = None,
         timeout: float = 30.0,
         max_frame: int = MAX_FRAME_BYTES,
     ) -> None:
@@ -263,14 +256,12 @@ class Client(CommonClient):
         self.port = port
         self.timeout = float(timeout)
         self.max_frame = int(max_frame)
-        self._requested_version = protocol
         self._sock: Optional[socket.socket] = None
         self._decoder = FrameDecoder(self.max_frame)
-        #: SUMMARY frames that arrived while collecting another channel
-        #: (protocol v1 delivers out of order).
-        self._parked: Dict[int, Frame] = {}
-        #: channel -> idempotency key (v2 sessions), for resubmission.
-        self._keys: Dict[int, str] = {}
+        #: each channel's answer, read while some other call was reading:
+        #: its SUMMARY frame (the server sends them as envelopes
+        #: complete) or its survivable refusal.
+        self._parked: Dict[int, Union[Frame, ServerError]] = {}
         self.bytes_sent = 0
         self.bytes_received = 0
 
@@ -286,7 +277,7 @@ class Client(CommonClient):
         instead of blocking on a stream that will never produce bytes.
         """
         sock, self._sock = self._sock, None
-        self._protocol = None
+        self._session = None
         if sock is not None:
             try:
                 sock.close()
@@ -352,49 +343,87 @@ class Client(CommonClient):
             self.bytes_received += len(data)
             self._decoder.feed(data)
 
-    def _control_reply(self, frame: Frame) -> Dict[str, object]:
-        """Parse a control frame, promoting ERROR/GOODBYE to exceptions.
+    def _server_error(self, frame: Frame) -> ServerError:
+        """An ERROR frame as a typed exception.
 
-        A survivable ERROR (``quota-exceeded``, ``retry-after``) leaves
-        the session open; anything else — including GOODBYE — aborts the
-        connection before the typed error propagates.
+        A survivable code (``quota-exceeded``, ``retry-after``) leaves the
+        session open; anything else aborts the connection first.
         """
+        doc = parse_control(frame.payload)
+        code = str(doc.get("code", "net-error"))
+        channel = doc.get("channel")
+        hint = doc.get("retry_after_ms")
+        if code not in SURVIVABLE_ERROR_CODES:
+            self._abort()
+        return ServerError(
+            code,
+            str(doc.get("message", "")),
+            channel if isinstance(channel, int) else None,
+            float(hint) if isinstance(hint, (int, float)) else None,
+        )
+
+    def _park(self, frame: Frame) -> None:
+        """Park a SUMMARY frame under the channel it answers."""
+        try:
+            channel = protocol.summary_channel(frame)
+        except NetError:
+            self._abort()  # truncated payload: stream cannot be trusted
+            raise
+        if protocol.summary_cached(frame):
+            self.cache_hits += 1
+        self._parked[channel] = frame
+
+    def _pump(self) -> Optional[Frame]:
+        """Read one frame; park it if it answers a channel, else return it.
+
+        A SUMMARY, or a survivable refusal naming a submitted channel, is
+        that channel's answer: it is parked for :meth:`collect`, so
+        whichever call happens to be reading never surfaces another
+        channel's result.  Any other ERROR raises; GOODBYE closes.
+        """
+        frame = self._recv_frame()
+        if frame.type == FRAME_SUMMARY:
+            self._park(frame)
+            return None
         if frame.type == FRAME_ERROR:
-            doc = parse_control(frame.payload)
-            code = str(doc.get("code", "net-error"))
-            hint = doc.get("retry_after_ms")
-            if code not in SURVIVABLE_ERROR_CODES:
-                self._abort()
-            raise ServerError(
-                code,
-                str(doc.get("message", "")),
-                doc.get("channel") if isinstance(doc.get("channel"), int) else None,
-                float(hint) if isinstance(hint, (int, float)) else None,
-            )
+            error = self._server_error(frame)
+            if (
+                error.code in SURVIVABLE_ERROR_CODES
+                and error.channel in self._requests
+            ):
+                self._parked[error.channel] = error
+                return None
+            raise error
         if frame.type == FRAME_GOODBYE:
             doc = parse_control(frame.payload)
             self._abort()
             raise SessionClosed(
                 f"server said goodbye: {doc.get('reason', 'unspecified')}"
             )
-        return parse_control(frame.payload)
+        return frame
 
-    def _park(self, frame: Frame) -> None:
-        """Park an out-of-order SUMMARY frame under its channel."""
-        assert self._protocol is not None
-        try:
-            channel = self._protocol.summary_channel(frame)
-        except NetError:
-            self._abort()  # truncated v2 payload: stream cannot be trusted
-            raise
-        if self._protocol.summary_cached(frame):
-            self.cache_hits += 1
-        self._parked[channel] = frame
+    def _unexpected(self, frame: Frame, context: str) -> NetError:
+        """Abort on a frame no call expects; the error to raise."""
+        self._abort()
+        return NetError(f"unexpected {frame.name} frame {context}")
+
+    def _call(self, request: Frame, reply_type: int) -> Dict[str, object]:
+        """Send a control request; return its reply's document."""
+        self._send_frame(request)
+        while True:
+            frame = self._pump()
+            if frame is None:
+                continue
+            if frame.type != reply_type:
+                raise self._unexpected(
+                    frame, f"awaiting {FRAME_NAMES[reply_type]}"
+                )
+            return parse_control(frame.payload)
 
     # -- contract ------------------------------------------------------------
 
     def connect(self) -> "Client":
-        """Dial, handshake, negotiate; returns self once accepted."""
+        """Dial and handshake; returns self once accepted."""
         if self._sock is not None:
             raise RuntimeError("client already connected")
         self._sock = socket.create_connection(
@@ -404,37 +433,39 @@ class Client(CommonClient):
         try:
             hello = self._recv_frame()
             if hello.type != FRAME_HELLO:
-                raise HandshakeError(
-                    f"expected HELLO, got {hello.name}"
-                )
-            info = self._control_reply(hello)
+                raise HandshakeError(f"expected HELLO, got {hello.name}")
+            info = parse_control(hello.payload)
             versions = info.get("versions")
-            if not isinstance(versions, list):
+            if not isinstance(versions, list) or (
+                protocol.VERSION not in versions
+            ):
                 raise HandshakeError(
-                    f"HELLO carries no version list: {info!r}"
+                    f"no mutual protocol version: server speaks "
+                    f"{versions!r}, client speaks [{protocol.VERSION}]"
                 )
-            version = choose_version(
-                [v for v in versions if isinstance(v, int)],
-                self._requested_version,
-            )
             self._send_frame(
-                Frame(FRAME_NEGOTIATE, control_payload({"version": version}))
+                Frame(
+                    FRAME_NEGOTIATE,
+                    control_payload({"version": protocol.VERSION}),
+                )
             )
             accept = self._recv_frame()
+            if accept.type == FRAME_ERROR:
+                raise self._server_error(accept)
             if accept.type != FRAME_ACCEPT:
-                doc = self._control_reply(accept)  # raises on ERROR/GOODBYE
+                raise HandshakeError(f"expected ACCEPT, got {accept.name}")
+            doc = parse_control(accept.payload)
+            if _int_field(doc, "version") != protocol.VERSION:
                 raise HandshakeError(
-                    f"expected ACCEPT, got {accept.name}: {doc!r}"
+                    f"server accepted protocol version {doc['version']}, "
+                    f"not the {protocol.VERSION} this client negotiated"
                 )
-            doc = self._control_reply(accept)
-            self._protocol = protocol_for_version(_int_field(doc, "version"))
-            self._session = _int_field(doc, "session")
             self._quota = _int_field(doc, "quota")
             self._server_info = info
+            self._session = _int_field(doc, "session")
         except (NetError, OSError) as exc:
-            # _abort() is idempotent: paths through _recv_frame /
-            # _control_reply have already hard-closed the socket, the
-            # others (choose_version, field validation) have not.
+            # _abort() is idempotent: paths through _recv_frame have
+            # already hard-closed the socket, the others have not.
             self._abort()
             if isinstance(exc, NetError):
                 raise
@@ -448,121 +479,76 @@ class Client(CommonClient):
     ) -> int:
         """Ship one SUBMIT envelope; returns its channel id.
 
-        On a v2 session every envelope carries an idempotency key —
-        ``key`` if given, else a generated UUID — so a resubmit after a
-        reconnect can never execute twice.  Pre-v2 dialects have no key
-        field; an explicit ``key`` is accepted and silently dropped.
+        Every envelope carries an idempotency key — ``key`` if given,
+        else a generated UUID — so a resubmit after a reconnect can
+        never execute twice.
         """
-        if self._protocol is None:
+        if self._session is None:
             raise SessionClosed("client is not connected")
-        if key is None and self._protocol.version >= 2:
+        if key is None:
             key = uuid.uuid4().hex
         channel = self._register(requests)
-        self._keys[channel] = key or ""
-        self._send_frame(
-            self._protocol.encode_submit(channel, requests, key or "")
-        )
+        self._send_frame(protocol.encode_submit(channel, requests, key))
         return channel
 
-    def channel_key(self, channel: int) -> str:
-        """The idempotency key a channel was submitted under ("" pre-v2)."""
-        return self._keys.get(channel, "")
-
     def collect(self, channel: int) -> List[RunSummary]:
-        """Block for ``channel``'s SUMMARY frame; rejoin and return it.
+        """Block for ``channel``'s answer; rejoin and return its summaries.
 
-        SUMMARY frames for *other* channels that arrive first are parked
-        and handed out when their channel is collected — protocol v1+
-        delivers summaries in completion order.
+        Answers for *other* channels that arrive first are parked and
+        handed out when their channel is collected — the server sends
+        summaries in completion order.  A parked refusal raises its
+        :class:`ServerError` here, without touching the socket.
         """
-        if self._protocol is None:
+        if self._session is None:
             raise SessionClosed("client is not connected")
-        proto = self._protocol
         requests = self._requests.get(channel)
         if requests is None:
             raise NetError(f"channel {channel} was never submitted")
         while channel not in self._parked:
-            frame = self._recv_frame()
-            if frame.type == FRAME_SUMMARY:
-                self._park(frame)
-                continue
-            self._control_reply(frame)  # raises on ERROR/GOODBYE
-            self._abort()
-            raise NetError(
-                f"unexpected {frame.name} frame while collecting "
-                f"channel {channel}"
-            )
-        frame = self._parked.pop(channel)
+            frame = self._pump()
+            if frame is not None:
+                raise self._unexpected(
+                    frame, f"while collecting channel {channel}"
+                )
+        answer = self._parked.pop(channel)
+        del self._requests[channel]
+        if isinstance(answer, ServerError):
+            raise answer
         try:
-            summaries = proto.decode_summary(frame, requests)
+            return protocol.decode_summary(answer, requests)
         except NetError:
             self._abort()  # CorruptFrame / truncated envelope
             raise
-        del self._requests[channel]
-        self._keys.pop(channel, None)
-        return summaries
 
     def drain(self) -> int:
-        """In-band barrier (protocol v1+); returns the flush count."""
-        self._require(FRAME_DRAIN, "DRAIN")
-        self._send_frame(Frame(FRAME_DRAIN, control_payload({})))
-        while True:
-            frame = self._recv_frame()
-            if frame.type == FRAME_SUMMARY and self._protocol is not None:
-                self._park(frame)
-                continue
-            if frame.type == FRAME_DRAINED:
-                doc = self._control_reply(frame)
-                flushed = doc.get("flushed", 0)
-                return int(flushed) if isinstance(flushed, int) else 0
-            self._control_reply(frame)  # raises on ERROR/GOODBYE
-            self._abort()
-            raise NetError(f"unexpected {frame.name} frame during drain")
+        """In-band barrier; returns the number of deliveries flushed."""
+        doc = self._call(
+            Frame(FRAME_DRAIN, control_payload({})), FRAME_DRAINED
+        )
+        flushed = doc.get("flushed", 0)
+        return int(flushed) if isinstance(flushed, int) else 0
 
     def resume(self, lineage: str) -> List[str]:
-        """Bind this session to ``lineage`` (protocol v2+).
+        """Bind this session to ``lineage``.
 
         Returns the idempotency keys the server still holds cached
         results for.  Call right after :meth:`connect` — before any
         submit — so every keyed envelope of this session is resumable.
         """
-        self._require(FRAME_RESUME, "RESUME")
-        self._send_frame(
-            Frame(FRAME_RESUME, control_payload({"lineage": lineage}))
+        doc = self._call(
+            Frame(FRAME_RESUME, control_payload({"lineage": lineage})),
+            FRAME_RESUMED,
         )
-        while True:
-            frame = self._recv_frame()
-            if frame.type == FRAME_SUMMARY and self._protocol is not None:
-                self._park(frame)
-                continue
-            if frame.type == FRAME_RESUMED:
-                doc = self._control_reply(frame)
-                cached = doc.get("cached")
-                if not isinstance(cached, list):
-                    return []
-                return [k for k in cached if isinstance(k, str)]
-            self._control_reply(frame)  # raises on ERROR/GOODBYE
-            self._abort()
-            raise NetError(
-                f"unexpected {frame.name} frame awaiting RESUMED"
-            )
+        cached = doc.get("cached")
+        if not isinstance(cached, list):
+            return []
+        return [k for k in cached if isinstance(k, str)]
 
     def metrics(self) -> Dict[str, object]:
-        """Sample the server's metrics rollup (protocol v1+)."""
-        self._require(FRAME_METRICS_REQ, "METRICS_REQ")
-        self._send_frame(Frame(FRAME_METRICS_REQ, control_payload({})))
-        while True:
-            frame = self._recv_frame()
-            if frame.type == FRAME_SUMMARY and self._protocol is not None:
-                self._park(frame)
-                continue
-            if frame.type == FRAME_METRICS:
-                return self._control_reply(frame)
-            self._control_reply(frame)  # raises on ERROR/GOODBYE
-            self._abort()
-            raise NetError(
-                f"unexpected {frame.name} frame awaiting metrics"
-            )
+        """Sample the server's metrics rollup."""
+        return self._call(
+            Frame(FRAME_METRICS_REQ, control_payload({})), FRAME_METRICS
+        )
 
     def close(self) -> None:
         """Say GOODBYE and close the socket (idempotent).
@@ -570,10 +556,7 @@ class Client(CommonClient):
         Safe from every state: never connected, connect failed halfway,
         session aborted by a typed error, or already closed.
         """
-        if self._sock is None:
-            self._protocol = None
-            return
-        if self._protocol is not None:
+        if self._session is not None:
             try:
                 self._send_frame(
                     Frame(FRAME_GOODBYE, control_payload({"reason": "done"}))
@@ -581,15 +564,6 @@ class Client(CommonClient):
             except (NetError, OSError):
                 pass  # the socket may already be gone; close anyway
         self._abort()
-
-    def _require(self, frame_type: int, name: str) -> None:
-        if self._protocol is None:
-            raise SessionClosed("client is not connected")
-        if not self._protocol.supports(frame_type):
-            raise UnsupportedFrame(
-                f"{name} frames are not legal on protocol version "
-                f"{self._protocol.version}"
-            )
 
 
 class MockClient(CommonClient):
@@ -613,13 +587,12 @@ class MockClient(CommonClient):
         self._executed = 0
 
     def connect(self) -> "MockClient":
-        """Fabricate a session (always protocol latest, session 1)."""
-        self._protocol = LATEST
+        """Fabricate a session (session 1)."""
         self._session = 1
         self._quota = 1 << 30  # in-memory: effectively unbounded
         self._server_info = {
             "server": self.SERVER,
-            "versions": list(SUPPORTED_VERSIONS),
+            "versions": [protocol.VERSION],
             "engine": self.engine,
         }
         return self
@@ -633,7 +606,7 @@ class MockClient(CommonClient):
         in-memory client has no wire to lose results on — dedup never
         has anything to do.
         """
-        if self._protocol is None:
+        if self._session is None:
             raise SessionClosed("client is not connected")
         channel = self._register(requests)
         stamped = [
@@ -646,7 +619,7 @@ class MockClient(CommonClient):
 
     def collect(self, channel: int) -> List[RunSummary]:
         """Return the summaries of an earlier :meth:`submit`."""
-        if self._protocol is None:
+        if self._session is None:
             raise SessionClosed("client is not connected")
         try:
             summaries = self._results.pop(channel)
@@ -659,19 +632,19 @@ class MockClient(CommonClient):
 
     def drain(self) -> int:
         """No-op barrier: mock execution is synchronous."""
-        if self._protocol is None:
+        if self._session is None:
             raise SessionClosed("client is not connected")
         return 0
 
     def resume(self, lineage: str) -> List[str]:
         """Accept any lineage; nothing is ever cached in-memory."""
-        if self._protocol is None:
+        if self._session is None:
             raise SessionClosed("client is not connected")
         return []
 
     def metrics(self) -> Dict[str, object]:
         """A synthetic metrics document mirroring the server's shape."""
-        if self._protocol is None:
+        if self._session is None:
             raise SessionClosed("client is not connected")
         return {
             "gateway": {"offered": self._executed, "completed": self._executed},
@@ -685,6 +658,6 @@ class MockClient(CommonClient):
 
     def close(self) -> None:
         """Drop the fabricated session (idempotent)."""
-        self._protocol = None
+        self._session = None
         self._results.clear()
         self._requests.clear()

@@ -15,7 +15,9 @@ Frame layout (little-endian)::
     offset  size  field
     0       2     magic  b"RN"
     2       1     type   (FRAME_* constant)
-    3       1     flags  (reserved: senders write 0, receivers ignore)
+    3       1     flags  bit 0 on SUMMARY: cached (protocol.FLAG_CACHED);
+                         other bits reserved: senders write 0,
+                         receivers ignore
     4       4     length u32 — payload byte count
     8       len   payload
 
@@ -154,7 +156,7 @@ class TruncatedFrame(NetError):
 
 
 class CorruptFrame(NetError):
-    """A v2 data payload failed its CRC32 check — bytes were damaged in
+    """A data payload failed its CRC32 check — bytes were damaged in
     transit (or by a fault proxy).  Connection-fatal: the stream can no
     longer be trusted, so the client reconnects and resubmits under the
     same idempotency keys."""
@@ -170,8 +172,8 @@ class HandshakeError(NetError):
 
 
 class UnsupportedFrame(NetError):
-    """A frame type that is not legal on the negotiated protocol version
-    (e.g. a DRAIN frame on a v0 session)."""
+    """A frame type the receiver does not accept: an unassigned value, or
+    a frame sent in the wrong direction (e.g. a SUMMARY from a client)."""
 
     code = "unsupported-frame"
 

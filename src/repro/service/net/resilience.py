@@ -167,10 +167,10 @@ class _Envelope:
 class ResilientClient(CommonClient):
     """A reconnecting, deduplicating client (see module docstring).
 
-    Requires the server to speak protocol v2 — resume without
+    Requires the server to speak protocol version 2 — resume without
     idempotency keys would be at-least-once *execution*, which is
-    exactly the bug this class exists to rule out.  A v0/v1-only server
-    fails :meth:`connect` with a typed, non-retryable
+    exactly the bug this class exists to rule out.  A server that does
+    not offer it fails :meth:`connect` with a typed, non-retryable
     :class:`~repro.service.net.framing.HandshakeError`.
 
     ``lineage`` defaults to a fresh UUID: distinct client objects never
@@ -199,7 +199,6 @@ class ResilientClient(CommonClient):
         self._rng = random.Random(seed)
         self._inner: Optional[Client] = None
         self._envelopes: Dict[int, _Envelope] = {}
-        self._by_inner: Dict[int, _Envelope] = {}
         self._ever_connected = False
         #: operational counters (monotone over the client's lifetime).
         self.reconnects = 0
@@ -258,7 +257,7 @@ class ResilientClient(CommonClient):
     # -- connection management -----------------------------------------------
 
     def connect(self) -> "ResilientClient":
-        """Dial (with backoff + breaker), negotiate v2, bind the lineage."""
+        """Dial (with backoff + breaker), handshake, bind the lineage."""
         self._reconnect(self._deadline())
         return self
 
@@ -311,14 +310,6 @@ class ResilientClient(CommonClient):
                     max_frame=self.max_frame,
                 )
                 inner.connect()
-                if inner.protocol_version < 2:
-                    version = inner.protocol_version
-                    inner.close()
-                    raise HandshakeError(
-                        f"ResilientClient needs protocol >= 2 "
-                        f"(idempotent resume); server negotiated "
-                        f"v{version}"
-                    )
                 inner.resume(self.lineage)
             except HandshakeError:
                 # a version/protocol mismatch is configuration, not
@@ -335,13 +326,11 @@ class ResilientClient(CommonClient):
             if self._ever_connected:
                 self.reconnects += 1
             self._ever_connected = True
-            self._protocol = inner._protocol
             self._session = inner._session
             self._quota = inner._quota
             self._server_info = inner.server_info
             # every uncollected envelope must be resubmitted on this
             # connection; cached keys answer without re-executing.
-            self._by_inner.clear()
             for env in self._envelopes.values():
                 env.inner = None
             return
@@ -382,7 +371,6 @@ class ResilientClient(CommonClient):
             self.resubmits += 1
         env.attempts += 1
         env.inner = self._inner.submit(env.requests, key=env.key)
-        self._by_inner[env.inner] = env
 
     def collect(self, channel: int) -> List[RunSummary]:
         """Drive one envelope to completion, whatever the wire does."""
@@ -407,10 +395,17 @@ class ResilientClient(CommonClient):
                     self._submit_env(env)
                 assert env.inner is not None
                 summaries = self._inner.collect(env.inner)
-                self._by_inner.pop(env.inner, None)
             except ServerError as exc:
                 attempt += 1
-                self._on_refusal(exc)
+                if (
+                    exc.code in SURVIVABLE_ERROR_CODES
+                    and exc.channel == env.inner
+                ):
+                    # the inner client raises a refusal only from its
+                    # channel's collect: that submission is void and is
+                    # re-shipped after backing off.
+                    self.retry_afters += 1
+                    env.inner = None
                 self._sleep_refusal(exc, attempt, deadline)
                 continue
             except (NetError, OSError) as exc:
@@ -420,18 +415,6 @@ class ResilientClient(CommonClient):
                 self._sleep_before_retry(attempt, deadline, exc)
                 continue
             return self._retry_rejected(env, summaries, deadline)
-
-    def _on_refusal(self, exc: ServerError) -> None:
-        """Bookkeeping for a survivable per-envelope refusal."""
-        if exc.code not in SURVIVABLE_ERROR_CODES:
-            return
-        self.retry_afters += 1
-        # the refusal names the *inner* channel it refused; that
-        # submission is void and must be re-shipped after backing off.
-        if exc.channel is not None:
-            refused = self._by_inner.pop(exc.channel, None)
-            if refused is not None:
-                refused.inner = None
 
     def _sleep_refusal(
         self, exc: ServerError, attempt: int, deadline: float
@@ -533,8 +516,6 @@ class ResilientClient(CommonClient):
     def close(self) -> None:
         """Close the inner client and drop session state (idempotent)."""
         self._teardown_inner()
-        self._protocol = None
         self._session = None
-        self._by_inner.clear()
         self._envelopes.clear()
         self._requests.clear()

@@ -10,13 +10,13 @@ the in-process path uses, every request goes through
 ``gateway.submit()``, and summaries travel back as columnar SUMMARY
 frames.  The layer adds only what a *network* front end needs:
 
-* a HELLO → NEGOTIATE → ACCEPT handshake with explicit version
-  negotiation (protocol classes from :mod:`repro.service.net._factory`);
+* a HELLO → NEGOTIATE → ACCEPT handshake pinning the one wire dialect
+  (:mod:`repro.service.net.protocol`);
 * per-client **session ids** and a per-session **queue quota** — the
   first fairness policy: one greedy client exhausts its own quota, not
   the shared gateway queue;
-* summary-ordering discipline per negotiated version (v0 sessions get
-  summaries in submit order, v1 sessions get them as they complete);
+* per-lineage idempotency caching and overload admission control;
+* summaries sent as envelopes complete (clients correlate by channel);
 * graceful shutdown: stop accepting, flush every in-flight summary,
   say GOODBYE, then close the gateway.
 
@@ -31,7 +31,7 @@ import itertools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ...core.engine import (
     STATUS_COMPLETED,
@@ -40,8 +40,8 @@ from ...core.engine import (
     RunSummary,
 )
 from ..stream import StreamGateway
-from ._factory import SUPPORTED_VERSIONS, protocol_for_version
-from ._v0 import ProtocolV0
+from ..transport import encode_summaries
+from . import protocol
 from .framing import (
     FRAME_ACCEPT,
     FRAME_DRAIN,
@@ -60,6 +60,7 @@ from .framing import (
     FrameDecoder,
     HandshakeError,
     NetError,
+    OversizedFrame,
     UnsupportedFrame,
     control_payload,
     encode_frame,
@@ -144,10 +145,9 @@ class _Lineage:
 
 @dataclass
 class _Session:
-    """Per-connection server state (session id, protocol, accounting)."""
+    """Per-connection server state (session id, accounting)."""
 
     id: int
-    protocol: Type[ProtocolV0]
     writer: asyncio.StreamWriter
     quota: int
     #: serialises frame writes: delivery tasks and the read loop share
@@ -155,11 +155,9 @@ class _Session:
     write_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
     #: requests submitted to the gateway but not yet summarised.
     inflight: int = 0
-    #: tail of the summary-ordering chain (v0 sessions only).
-    chain: Optional["asyncio.Task[None]"] = None
     #: live delivery tasks — what close()/DRAIN wait on.
     pending: Set["asyncio.Task[None]"] = field(default_factory=set)
-    #: the lineage a RESUME frame bound this session to (v2+ only).
+    #: the lineage a RESUME frame bound this session to.
     lineage: Optional[_Lineage] = None
 
 
@@ -355,7 +353,7 @@ class NetServer:
         """HELLO → NEGOTIATE → ACCEPT; returns the negotiated session."""
         hello = {
             "server": SERVER_NAME,
-            "versions": list(SUPPORTED_VERSIONS),
+            "versions": [protocol.VERSION],
             "max_frame": self.max_frame,
             "engine": self.gateway.engine,
             "quota": self.session_quota,
@@ -374,20 +372,19 @@ class NetServer:
             )
         doc = parse_control(frame.payload)
         version = doc.get("version")
-        if not isinstance(version, int) or isinstance(version, bool):
+        if not isinstance(version, int) or version != protocol.VERSION:
             raise HandshakeError(
-                f"NEGOTIATE carries no integer version: {doc!r}"
+                f"unsupported protocol version {version!r}; this server "
+                f"speaks {protocol.VERSION}"
             )
-        protocol = protocol_for_version(version)
         session = _Session(
             id=next(self._session_ids),
-            protocol=protocol,
             writer=writer,
             quota=self.session_quota,
         )
         self._sessions[session.id] = session
         accept = {
-            "version": protocol.version,
+            "version": protocol.VERSION,
             "session": session.id,
             "quota": session.quota,
         }
@@ -424,11 +421,6 @@ class NetServer:
             frame = await self._next_frame(reader, decoder)
             if frame is None or frame.type == FRAME_GOODBYE:
                 return
-            if not session.protocol.supports(frame.type):
-                raise UnsupportedFrame(
-                    f"frame {frame.name} is not legal on protocol "
-                    f"version {session.protocol.version}"
-                )
             if frame.type == FRAME_SUBMIT:
                 await self._on_submit(session, frame)
             elif frame.type == FRAME_RESUME:
@@ -438,8 +430,9 @@ class NetServer:
             elif frame.type == FRAME_DRAIN:
                 await self._on_drain(session)
             else:
-                # server-emitted types (SUMMARY, METRICS, DRAINED, ERROR)
-                # arriving *from* a client are a protocol violation.
+                # server-emitted types (SUMMARY, METRICS, DRAINED, ERROR),
+                # handshake frames and unassigned types arriving *from* a
+                # client are a protocol violation.
                 raise UnsupportedFrame(
                     f"client may not send {frame.name} frames"
                 )
@@ -447,7 +440,7 @@ class NetServer:
     # -- frame handlers ------------------------------------------------------
 
     async def _on_submit(self, session: _Session, frame: Frame) -> None:
-        channel, key, requests = session.protocol.decode_submit_ex(frame)
+        channel, key, requests = protocol.decode_submit(frame)
         if self._draining:
             await self._try_send(
                 session,
@@ -479,7 +472,7 @@ class NetServer:
                 lineage.cache.move_to_end(key)
                 self._spawn_delivery(
                     session,
-                    self._deliver_cached(session, channel, cached),
+                    self._send_summary(session, channel, cached, cached=True),
                     channel,
                 )
                 return
@@ -492,10 +485,10 @@ class NetServer:
                     channel,
                 )
                 return
-        if self._saturated(session, len(requests)):
-            # Admission control (v2+ sessions): convert gateway-queue
-            # saturation into a typed, survivable backoff hint instead
-            # of letting the reject policy fail the individual requests.
+        if self._saturated(len(requests)):
+            # Admission control: convert gateway-queue saturation into a
+            # typed, survivable backoff hint instead of letting the reject
+            # policy fail the individual requests.
             await self._try_send(
                 session,
                 _control(
@@ -538,52 +531,34 @@ class NetServer:
             lineage.inflight[key] = inflight_result
         session.inflight += len(requests)
         futures = [await self.gateway.submit(r) for r in requests]
-        prev = session.chain if session.protocol.ordered_summaries else None
-        task = asyncio.create_task(
+        self._spawn_delivery(
+            session,
             self._deliver(
-                session, channel, requests, futures, prev,
+                session, channel, requests, futures,
                 key=key, lineage=lineage, inflight_result=inflight_result,
             ),
-            name=f"net-deliver-s{session.id}-c{channel}",
+            channel,
         )
-        if session.protocol.ordered_summaries:
-            session.chain = task
-        session.pending.add(task)
-        task.add_done_callback(session.pending.discard)
 
-    def _saturated(self, session: _Session, incoming: int) -> bool:
+    def _saturated(self, incoming: int) -> bool:
         """Whether admission control should refuse this envelope.
 
         Only refuses when the queue already holds work (``depth > 0``):
         an envelope larger than the whole queue capacity must still be
         admitted once the queue is empty, or it could never run at all.
-        Pre-v2 sessions are never refused — their dialect has no
-        ``retry-after`` vocabulary, so they keep the original gateway
-        reject/block behaviour unchanged.
         """
-        if session.protocol.version < 2:
-            return False
         depth = self.gateway.queue_depth
         return depth > 0 and depth + incoming > self.gateway.queue_cap
 
     def _spawn_delivery(
         self, session: _Session, coro, channel: int
     ) -> None:
-        """Track a cache/coalesce delivery like a normal delivery task."""
+        """Run a delivery as a task that close() and DRAIN wait on."""
         task = asyncio.create_task(
-            coro, name=f"net-cached-s{session.id}-c{channel}"
+            coro, name=f"net-deliver-s{session.id}-c{channel}"
         )
         session.pending.add(task)
         task.add_done_callback(session.pending.discard)
-
-    async def _deliver_cached(
-        self, session: _Session, channel: int, envelope: bytes
-    ) -> None:
-        """Answer a resubmitted envelope from the idempotency cache."""
-        await self._try_send(
-            session,
-            session.protocol.wrap_summary(channel, envelope, cached=True),
-        )
 
     async def _deliver_coalesced(
         self,
@@ -593,10 +568,7 @@ class NetServer:
     ) -> None:
         """Answer a resubmit by awaiting the first execution's result."""
         envelope = await asyncio.shield(shared)
-        await self._try_send(
-            session,
-            session.protocol.wrap_summary(channel, envelope, cached=True),
-        )
+        await self._send_summary(session, channel, envelope, cached=True)
 
     async def _deliver(
         self,
@@ -604,19 +576,13 @@ class NetServer:
         channel: int,
         requests: Sequence[RunRequest],
         futures: Sequence["asyncio.Future[RunSummary]"],
-        prev: Optional["asyncio.Task[None]"],
         key: str = "",
         lineage: Optional[_Lineage] = None,
         inflight_result: Optional["asyncio.Future[bytes]"] = None,
     ) -> None:
         """Await one envelope's summaries and send its SUMMARY frame.
 
-        For ordered (v0) sessions, ``prev`` is the previous envelope's
-        delivery task: awaiting it before writing guarantees SUMMARY
-        frames leave in submit order even when the gateway finishes
-        envelopes out of order.
-
-        For keyed (v2, lineage-bound) envelopes the *encoded* result is
+        For keyed, lineage-bound envelopes the *encoded* result is
         remembered in the lineage cache before the send is attempted —
         a client that disconnected mid-execution still finds its answer
         waiting when it reconnects and resubmits.  Only fully *executed*
@@ -637,9 +603,8 @@ class NetServer:
                 lineage.inflight.pop(key, None)
             raise
         session.inflight -= len(requests)
-        envelope = b""
+        envelope = encode_summaries(summaries)
         if lineage is not None and key:
-            envelope = session.protocol.summary_envelope(summaries)
             executed = all(
                 s.status in (STATUS_COMPLETED, STATUS_FAILED)
                 for s in summaries
@@ -649,13 +614,7 @@ class NetServer:
             if inflight_result is not None and not inflight_result.done():
                 inflight_result.set_result(envelope)
             lineage.inflight.pop(key, None)
-        if prev is not None:
-            await asyncio.gather(prev, return_exceptions=True)
-        if envelope:
-            frame = session.protocol.wrap_summary(channel, envelope)
-        else:
-            frame = session.protocol.encode_summary(channel, summaries)
-        await self._try_send(session, frame)
+        await self._send_summary(session, channel, envelope)
 
     async def _on_resume(self, session: _Session, frame: Frame) -> None:
         """Bind this session to a lineage; report which keys are cached."""
@@ -741,14 +700,41 @@ class NetServer:
         except _GONE:
             pass  # the session's read loop will observe the close
 
+    async def _send_summary(
+        self,
+        session: _Session,
+        channel: int,
+        envelope: bytes,
+        cached: bool = False,
+    ) -> None:
+        """Send one SUMMARY frame around encoded envelope bytes.
+
+        A summary larger than this server's ``max_frame`` cannot be
+        sent at all: the peer gets a fatal ``oversized-frame`` ERROR
+        naming the channel, then GOODBYE, and the connection closes —
+        never a silently dropped answer the client waits on forever.
+        """
+        try:
+            await self._send(
+                session, protocol.wrap_summary(channel, envelope, cached)
+            )
+        except OversizedFrame as exc:
+            await self._farewell(session.writer, exc, session, channel)
+            session.writer.close()
+        except _GONE:
+            pass  # the session's read loop will observe the close
+
     async def _farewell(
         self,
         writer: asyncio.StreamWriter,
         exc: NetError,
         session: Optional[_Session],
+        channel: Optional[int] = None,
     ) -> None:
         """Report a typed error to the peer, then say GOODBYE."""
         doc: Dict[str, object] = {"code": exc.code, "message": str(exc)}
+        if channel is not None:
+            doc["channel"] = channel
         bye: Dict[str, object] = {"reason": exc.code}
         if session is not None:
             bye["session"] = session.id

@@ -1,12 +1,12 @@
 """The network service: framing, negotiation, parity, shutdown.
 
-The ISSUE 9 satellites: typed errors on every malformed-input path
-(unknown magic, oversized frames, mid-frame disconnects — never hangs),
-a ``_v0`` client downgrading cleanly against a ``_latest`` server, the
-256-instance digest-parity differential (remote client == MockClient ==
-in-process gateway == sequential), the drain test (server shutdown with
-in-flight tickets resolves every future), per-session quotas, and the
-docstring pass over the public client API.
+Typed errors on every malformed-input path (unknown magic, oversized
+frames, mid-frame disconnects, refused protocol versions — never
+hangs), the 256-instance digest-parity differential (remote client ==
+MockClient == in-process gateway == sequential), the drain test (server
+shutdown with in-flight tickets resolves every future), per-session
+quotas and survivable refusals, and the docstring pass over the public
+client API.
 """
 
 import socket
@@ -22,27 +22,18 @@ from repro.scenarios.generators import (
 from repro.scenarios.runner import ALGORITHMS, AlgorithmSpec, register_algorithm
 from repro.service import BatchService, requests_from_scenarios, summaries_digest
 from repro.service.net import (
-    LATEST,
-    PROTOCOLS,
-    SUPPORTED_VERSIONS,
     BadMagic,
     Frame,
     FrameDecoder,
-    HandshakeError,
     NetError,
     NetTimeout,
     OversizedFrame,
     ServerError,
     SessionClosed,
     TruncatedFrame,
-    UnsupportedFrame,
-    choose_version,
-    protocol_for_version,
 )
-from repro.service.net._v0 import ProtocolV0
 from repro.service.net.client import Client, CommonClient, MockClient
 from repro.service.net.framing import (
-    FRAME_DRAIN,
     FRAME_ERROR,
     FRAME_GOODBYE,
     FRAME_HELLO,
@@ -57,6 +48,7 @@ from repro.service.net.framing import (
     parse_control,
     unpack_channel,
 )
+from repro.service.net.protocol import VERSION, encode_submit
 from repro.service.net.server import NetServer, ServerThread
 from repro.service.stream import serve
 
@@ -144,37 +136,6 @@ def test_channel_prefix_roundtrip_and_truncation():
         unpack_channel(b"\x00\x01")  # shorter than the u32 prefix
 
 
-# -- version negotiation (factory) -------------------------------------------
-
-
-def test_factory_registry_and_version_choice():
-    assert SUPPORTED_VERSIONS == tuple(sorted(PROTOCOLS))
-    assert protocol_for_version(LATEST.version) is LATEST
-    # default: highest mutual version wins
-    assert choose_version([0, 1]) == 1
-    # a v0-only server downgrades a latest client transparently
-    assert choose_version([0]) == 0
-    # unknown advertised versions are ignored, not fatal
-    assert choose_version([0, 99]) == 0
-    # an explicit pin must be mutual
-    assert choose_version([0, 1], requested=0) == 0
-    with pytest.raises(HandshakeError):
-        choose_version([99])
-    with pytest.raises(HandshakeError):
-        choose_version([0, 1], requested=99)
-    with pytest.raises(HandshakeError):
-        protocol_for_version(99)
-
-
-def test_protocol_versions_are_nested_dialects():
-    """v1 is a superset of v0: every v0 frame type stays legal, and only
-    v1 relaxes summary ordering."""
-    v0, v1 = PROTOCOLS[0], PROTOCOLS[1]
-    assert v0.frame_types < v1.frame_types
-    assert v0.ordered_summaries and not v1.ordered_summaries
-    assert not v0.supports(FRAME_DRAIN) and v1.supports(FRAME_DRAIN)
-
-
 # -- raw-socket protocol violations: typed errors, never hangs ---------------
 
 
@@ -220,7 +181,7 @@ def test_server_hello_advertises_info(loopback_server):
     sock, decoder, hello = _dial(loopback_server)
     try:
         assert hello["server"] == "repro.service.net"
-        assert hello["versions"] == list(SUPPORTED_VERSIONS)
+        assert hello["versions"] == [VERSION]
         assert hello["max_frame"] == 65536
         assert hello["quota"] == 8
     finally:
@@ -245,12 +206,15 @@ def test_oversized_announcement_gets_typed_error(loopback_server):
         sock.close()
 
 
-def test_unknown_version_gets_typed_error(loopback_server):
+@pytest.mark.parametrize("version", [0, 1, 99])
+def test_unknown_version_gets_typed_error(loopback_server, version):
+    """The server speaks one version; the retired dialects 0 and 1 are
+    refused exactly like a version from the future."""
     sock, decoder, _ = _dial(loopback_server)
     try:
         sock.sendall(
             encode_frame(
-                Frame(FRAME_NEGOTIATE, control_payload({"version": 99}))
+                Frame(FRAME_NEGOTIATE, control_payload({"version": version}))
             )
         )
         _expect_error_then_goodbye(sock, decoder, "handshake")
@@ -271,7 +235,9 @@ def test_mid_frame_disconnect_leaves_server_serving(loopback_server):
     """A peer that dies mid-frame must not wedge the server: the next
     connection gets a normal HELLO and a working session."""
     sock, decoder, _ = _dial(loopback_server)
-    frame = encode_frame(Frame(FRAME_NEGOTIATE, control_payload({"version": 1})))
+    frame = encode_frame(
+        Frame(FRAME_NEGOTIATE, control_payload({"version": VERSION}))
+    )
     sock.sendall(frame[: len(frame) - 3])  # cut the frame short
     sock.close()
     # the server carries on: a fresh client completes a full exchange
@@ -282,19 +248,19 @@ def test_mid_frame_disconnect_leaves_server_serving(loopback_server):
     assert len(summaries) == 4 and all(s.ok for s in summaries)
 
 
-def test_v0_session_rejects_v1_frames(loopback_server):
-    """DRAIN is a v1 frame; a v0 session sending it gets the typed
-    ``unsupported-frame`` error, server-side."""
+def test_client_sent_server_frame_gets_unsupported_frame(loopback_server):
+    """A frame type a client may not send (here SUMMARY, which only the
+    server emits) gets the typed ``unsupported-frame`` error."""
     sock, decoder, _ = _dial(loopback_server)
     try:
         sock.sendall(
             encode_frame(
-                Frame(FRAME_NEGOTIATE, control_payload({"version": 0}))
+                Frame(FRAME_NEGOTIATE, control_payload({"version": VERSION}))
             )
         )
         accept = _read_frame(sock, decoder)
-        assert parse_control(accept.payload)["version"] == 0
-        sock.sendall(encode_frame(Frame(FRAME_DRAIN, control_payload({}))))
+        assert parse_control(accept.payload)["version"] == VERSION
+        sock.sendall(encode_frame(Frame(FRAME_SUMMARY, pack_channel(1, b""))))
         _expect_error_then_goodbye(sock, decoder, "unsupported-frame")
     finally:
         sock.close()
@@ -318,30 +284,11 @@ def test_client_never_hangs_on_a_silent_server():
 # -- negotiated sessions over real sockets -----------------------------------
 
 
-def test_v0_client_downgrades_cleanly_against_latest_server():
-    """The headline negotiation satellite: a client pinned to the v0
-    dialect completes a full batch against a latest server, and the v1
-    frames stay client-side-gated."""
-    requests = _requests(12)
-    with ServerThread(workers=2) as st:
-        with Client(st.host, st.port, protocol=0, timeout=30) as client:
-            assert client.protocol_version == 0
-            assert client.session_id >= 1
-            summaries = client.run(requests, chunk=4)
-            with pytest.raises(UnsupportedFrame):
-                client.drain()
-            with pytest.raises(UnsupportedFrame):
-                client.metrics()
-    assert summaries_digest(summaries) == summaries_digest(
-        BatchService(workers=0).run_batch(requests).summaries
-    )
-
-
 def test_v1_session_metrics_and_drain():
     requests = _requests(6)
     with ServerThread(workers=2) as st:
         with Client(st.host, st.port, timeout=30) as client:
-            assert client.protocol_version == LATEST.version
+            assert client.protocol_version == VERSION
             channel = client.submit(requests)
             flushed = client.drain()
             assert flushed >= 0
@@ -373,6 +320,70 @@ def test_session_quota_is_enforced_and_survivable():
             # and run() windows itself under the quota automatically
             summaries = client.run(requests, chunk=8)
             assert len(summaries) == 8 and all(s.ok for s in summaries)
+
+
+def test_refusal_is_parked_for_its_own_channel():
+    """A survivable refusal of one envelope is that channel's answer: it
+    never surfaces out of another channel's collect, and collecting the
+    refused channel raises it at once, without a read that would wait out
+    the socket timeout."""
+    requests = _requests(8)
+    with ServerThread(workers=2, session_quota=4) as st:
+        with Client(st.host, st.port, timeout=10) as client:
+            refused = client.submit(requests)  # 8 > quota of 4
+            ok = client.submit(requests[:3])
+            summaries = client.collect(ok)
+            assert len(summaries) == 3 and all(s.ok for s in summaries)
+            t0 = time.monotonic()
+            with pytest.raises(ServerError) as excinfo:
+                client.collect(refused)
+            assert excinfo.value.code == "quota-exceeded"
+            assert excinfo.value.channel == refused
+            # the refusal was the channel's one answer
+            with pytest.raises(NetError) as again:
+                client.collect(refused)
+            assert not isinstance(again.value, NetTimeout)
+            assert time.monotonic() - t0 < 1.0
+            assert client.connected
+            assert len(client.run(requests, chunk=4)) == 8
+
+
+def test_refusal_does_not_leak_into_other_calls():
+    """``metrics()`` right after a refused submit returns the metrics
+    reply; the refusal waits for its channel's collect, and the session
+    stays healthy for the next envelope."""
+    requests = _requests(8)
+    with ServerThread(workers=2, session_quota=4) as st:
+        with Client(st.host, st.port, timeout=10) as client:
+            refused = client.submit(requests)  # 8 > quota of 4
+            doc = client.metrics()
+            assert doc["session"] == client.session_id
+            assert "gateway" in doc
+            with pytest.raises(ServerError) as excinfo:
+                client.collect(refused)
+            assert excinfo.value.code == "quota-exceeded"
+            assert excinfo.value.channel == refused
+            assert client.connected
+            summaries = client.collect(client.submit(requests[:4]))
+            assert len(summaries) == 4 and all(s.ok for s in summaries)
+
+
+def test_oversized_summary_is_a_typed_error_not_a_hang():
+    """A SUMMARY larger than the server's own ``max_frame`` cannot be
+    sent: the client gets a fatal ``oversized-frame`` ERROR naming the
+    channel (then GOODBYE) well inside its timeout — the SUBMITs fit
+    the cap, their answers do not."""
+    requests = _requests(64)
+    with ServerThread(workers=2, max_frame=1024) as st:
+        client = Client(st.host, st.port, timeout=10).connect()
+        t0 = time.monotonic()
+        with pytest.raises(ServerError) as excinfo:
+            client.run(requests, chunk=32)
+        assert time.monotonic() - t0 < 5.0
+        assert excinfo.value.code == "oversized-frame"
+        assert excinfo.value.channel in (1, 2)
+        assert not client.connected
+        client.close()
 
 
 def test_sessions_get_distinct_ids():
@@ -458,17 +469,15 @@ def test_draining_server_refuses_new_submits():
         assert hello.type == FRAME_HELLO
         writer.write(
             encode_frame(
-                Frame(FRAME_NEGOTIATE, control_payload({"version": 1}))
+                Frame(FRAME_NEGOTIATE, control_payload({"version": VERSION}))
             )
         )
         await writer.drain()
         accept = await _read_frame(reader, decoder)
-        assert parse_control(accept.payload)["version"] == 1
+        assert parse_control(accept.payload)["version"] == VERSION
         # freeze the shutdown window: draining flag up, socket still open
         server._draining = True
-        writer.write(
-            encode_frame(ProtocolV0.encode_submit(1, requests))
-        )
+        writer.write(encode_frame(encode_submit(1, requests, "k-drain")))
         await writer.drain()
         err = await _read_frame(reader, decoder)
         assert err.type == FRAME_ERROR
@@ -528,7 +537,7 @@ def test_mock_client_mirrors_the_client_surface():
     with pytest.raises(SessionClosed):
         mock.submit(requests)
     with mock as client:
-        assert client.protocol_version == LATEST.version
+        assert client.protocol_version == VERSION
         assert client.server_info["server"] == MockClient.SERVER
         channel = client.submit(requests)
         summaries = client.collect(channel)

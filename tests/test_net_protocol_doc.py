@@ -1,21 +1,20 @@
 """docs/PROTOCOL.md is normative — pin it to the reference codec.
 
-The spec's worked hex examples (between the ``example-begin`` /
-``example-end`` and ``example-v2-begin`` / ``example-v2-end`` markers)
-are parsed out of the document and driven through the real frame
-decoder and protocol classes: the documented bytes must decode to
-exactly the handshake documents, request, and summary the prose
-describes — and re-encoding those objects must reproduce the
-documented bytes. If either direction breaks, the document has drifted
-from the implementation (or vice versa) and this test is the tripwire.
+The spec's worked hex example (between the ``example-begin`` /
+``example-end`` markers) is parsed out of the document and driven
+through the real frame decoder and protocol codec: the documented bytes
+must decode to exactly the handshake documents, lineage exchange,
+request, and summary the prose describes — and re-encoding those
+objects must reproduce the documented bytes. If either direction
+breaks, the document has drifted from the implementation (or vice
+versa) and this test is the tripwire.
 """
 
 import pathlib
 import re
 
 from repro.core.engine import RunRequest, RunSummary
-from repro.service.net._latest import ProtocolV1
-from repro.service.net._v2 import FLAG_CACHED, ProtocolV2
+from repro.service.net import protocol
 from repro.service.net.framing import (
     FRAME_ACCEPT,
     FRAME_HELLO,
@@ -30,10 +29,11 @@ from repro.service.net.framing import (
     Frame,
     parse_control,
 )
+from repro.service.transport import encode_summaries
 
 DOC = pathlib.Path(__file__).resolve().parent.parent / "docs" / "PROTOCOL.md"
 
-#: the exact objects the spec's section 9/10 prose declares.
+#: the exact objects the spec's section 9 prose declares.
 EXAMPLE_REQUEST = RunRequest(
     kind="routing", family="balanced", n=16, seed=7, engine="fast"
 )
@@ -54,20 +54,33 @@ EXAMPLE_SUMMARY = RunSummary(
     latency_s=0.375,
 )
 
-#: the v2 example's lineage and idempotency key (section 10 prose).
+#: the example's lineage and idempotency key (section 9 prose).
 EXAMPLE_LINEAGE = "lin-demo"
 EXAMPLE_KEY = "k-demo-001"
 
+#: the example's handshake documents (section 9 prose).
+EXAMPLE_HELLO = {
+    "engine": "fast",
+    "max_frame": 8388608,
+    "quota": 64,
+    "server": "repro.service.net",
+    "versions": [2],
+}
+EXAMPLE_ACCEPT = {"quota": 64, "session": 2, "version": 2}
 
-def _documented_frames(begin="example-begin", end="example-end", count=5):
-    """The hex blocks of a worked example, as raw frame bytes."""
+#: the worked example: three handshake frames, then four data-plane ones.
+HANDSHAKE_FRAMES = 3
+
+
+def _documented_frames():
+    """The hex blocks of the worked example, as raw frame bytes."""
     text = DOC.read_text()
     match = re.search(
-        rf"<!-- {begin} -->(.*?)<!-- {end} -->", text, re.S
+        r"<!-- example-begin -->(.*?)<!-- example-end -->", text, re.S
     )
-    assert match, f"PROTOCOL.md lost its {begin} markers"
+    assert match, "PROTOCOL.md lost its example-begin markers"
     blocks = re.findall(r"```text\n(.*?)```", match.group(1), re.S)
-    assert len(blocks) == count, f"expected {count} frames, found {len(blocks)}"
+    assert len(blocks) == 7, f"expected 7 frames, found {len(blocks)}"
     return [bytes.fromhex("".join(block.split())) for block in blocks]
 
 
@@ -85,81 +98,43 @@ def _decode_stream(wire):
 
 
 def test_documented_hex_decodes_to_the_described_exchange():
+    """The whole example decodes frame by frame; its handshake speaks
+    the one protocol version."""
     frames = _decode_stream(_documented_frames())
     assert [f.type for f in frames] == [
         FRAME_HELLO,
         FRAME_NEGOTIATE,
         FRAME_ACCEPT,
+        FRAME_RESUME,
+        FRAME_RESUMED,
         FRAME_SUBMIT,
         FRAME_SUMMARY,
     ]
-    hello, negotiate, accept, submit, summary = frames
-
-    doc = parse_control(hello.payload)
-    assert doc == {
-        "engine": "fast",
-        "max_frame": 8388608,
-        "quota": 64,
-        "server": "repro.service.net",
-        "versions": [0, 1, 2],
-    }
-    assert parse_control(negotiate.payload) == {"version": 1}
-    assert parse_control(accept.payload) == {
-        "quota": 64,
-        "session": 1,
-        "version": 1,
-    }
-
-    channel, requests = ProtocolV1.decode_submit(submit)
-    assert channel == 1
-    assert requests == [EXAMPLE_REQUEST]
-
-    assert ProtocolV1.summary_channel(summary) == 1
-    decoded = ProtocolV1.decode_summary(summary, requests)
-    assert decoded == [EXAMPLE_SUMMARY]
+    hello, negotiate, accept = frames[:HANDSHAKE_FRAMES]
+    assert parse_control(hello.payload) == EXAMPLE_HELLO
+    assert parse_control(negotiate.payload) == {"version": protocol.VERSION}
+    assert parse_control(accept.payload) == EXAMPLE_ACCEPT
 
 
 def test_described_exchange_reencodes_to_the_documented_hex():
-    """The reverse direction: encoding the prose's objects through the
-    reference codec must reproduce the documented bytes exactly —
-    canonical JSON and columnar determinism are what make the example
-    byte-stable."""
-    wire = _documented_frames()
-    hello = encode_frame(
-        Frame(
-            FRAME_HELLO,
-            control_payload(
-                {
-                    "engine": "fast",
-                    "max_frame": 8388608,
-                    "quota": 64,
-                    "server": "repro.service.net",
-                    "versions": [0, 1, 2],
-                }
-            ),
-        )
-    )
+    """The reverse direction for the handshake: encoding the prose's
+    documents must reproduce the documented bytes exactly — canonical
+    JSON is what makes the example byte-stable."""
+    wire = _documented_frames()[:HANDSHAKE_FRAMES]
+    hello = encode_frame(Frame(FRAME_HELLO, control_payload(EXAMPLE_HELLO)))
     negotiate = encode_frame(
-        Frame(FRAME_NEGOTIATE, control_payload({"version": 1}))
+        Frame(FRAME_NEGOTIATE, control_payload({"version": protocol.VERSION}))
     )
     accept = encode_frame(
-        Frame(
-            FRAME_ACCEPT,
-            control_payload({"quota": 64, "session": 1, "version": 1}),
-        )
+        Frame(FRAME_ACCEPT, control_payload(EXAMPLE_ACCEPT))
     )
-    submit = encode_frame(ProtocolV1.encode_submit(1, [EXAMPLE_REQUEST]))
-    summary = encode_frame(
-        ProtocolV1.encode_summary(1, [EXAMPLE_SUMMARY])
-    )
-    assert [hello, negotiate, accept, submit, summary] == wire
+    assert [hello, negotiate, accept] == wire
 
 
 def test_documented_v2_hex_decodes_to_the_described_exchange():
-    """Section 10: RESUME/RESUMED, a keyed SUBMIT, a cached SUMMARY."""
-    frames = _decode_stream(
-        _documented_frames("example-v2-begin", "example-v2-end", count=4)
-    )
+    """The data-plane half: RESUME/RESUMED, a keyed SUBMIT, a cached
+    SUMMARY."""
+    frames = _decode_stream(_documented_frames()[HANDSHAKE_FRAMES:])
     assert [f.type for f in frames] == [
         FRAME_RESUME,
         FRAME_RESUMED,
@@ -176,22 +151,22 @@ def test_documented_v2_hex_decodes_to_the_described_exchange():
         "session": 2,
     }
 
-    channel, key, requests = ProtocolV2.decode_submit_ex(submit)
+    channel, key, requests = protocol.decode_submit(submit)
     assert channel == 1
     assert key == EXAMPLE_KEY
     assert requests == [EXAMPLE_REQUEST]
 
-    assert ProtocolV2.summary_channel(summary) == 1
-    assert summary.flags == FLAG_CACHED
-    assert ProtocolV2.summary_cached(summary)
-    decoded = ProtocolV2.decode_summary(summary, requests)
+    assert protocol.summary_channel(summary) == 1
+    assert summary.flags == protocol.FLAG_CACHED
+    assert protocol.summary_cached(summary)
+    decoded = protocol.decode_summary(summary, requests)
     assert decoded == [EXAMPLE_SUMMARY]
 
 
 def test_described_v2_exchange_reencodes_to_the_documented_hex():
-    wire = _documented_frames(
-        "example-v2-begin", "example-v2-end", count=4
-    )
+    """The reverse direction for the data-plane half: the RENV
+    envelopes' columnar determinism makes the bytes stable."""
+    wire = _documented_frames()[HANDSHAKE_FRAMES:]
     resume = encode_frame(
         Frame(FRAME_RESUME, control_payload({"lineage": EXAMPLE_LINEAGE}))
     )
@@ -209,12 +184,12 @@ def test_described_v2_exchange_reencodes_to_the_documented_hex():
         )
     )
     submit = encode_frame(
-        ProtocolV2.encode_submit(1, [EXAMPLE_REQUEST], EXAMPLE_KEY)
+        protocol.encode_submit(1, [EXAMPLE_REQUEST], EXAMPLE_KEY)
     )
     # a cached answer re-frames the original envelope bytes: encoding
     # the summary and wrapping it cached=True must match the doc.
-    envelope = ProtocolV2.summary_envelope([EXAMPLE_SUMMARY])
-    summary = encode_frame(ProtocolV2.wrap_summary(1, envelope, cached=True))
+    envelope = encode_summaries([EXAMPLE_SUMMARY])
+    summary = encode_frame(protocol.wrap_summary(1, envelope, cached=True))
     assert [resume, resumed, submit, summary] == wire
 
 

@@ -1,8 +1,7 @@
 """The fault-tolerance layer: reconnect, idempotent resume, fault proxy.
 
-The ISSUE 10 tentpole and satellites: the backoff/circuit-breaker
-machinery in isolation, the toxic-spec grammar, the v2 codec's CRC
-armour, the parametrized :class:`CommonClient` contract suite over all
+The backoff/circuit-breaker machinery in isolation, the toxic-spec
+grammar, the protocol codec's CRC armour, the parametrized :class:`CommonClient` contract suite over all
 three client implementations, the through-proxy differential (digest
 parity under injected faults, zero duplicate executions), the server's
 admission control and lineage cache semantics, and the cleanup /
@@ -34,7 +33,7 @@ from repro.service.net import (
     SessionClosed,
     TruncatedFrame,
 )
-from repro.service.net._v2 import FLAG_CACHED, ProtocolV2
+from repro.service.net import protocol
 from repro.service.net.client import Client, CommonClient, MockClient
 from repro.service.net.faultproxy import (
     FaultProxy,
@@ -62,6 +61,7 @@ from repro.service.net.resilience import (
     RetriesExhausted,
 )
 from repro.service.net.server import ServerThread
+from repro.service.transport import encode_summaries
 
 SMALL_SIZES = dict(
     routing_sizes=(16,), sorting_sizes=(16,), multiplex_sizes=(16,)
@@ -211,56 +211,51 @@ def test_parse_wire_faults_bridges_the_chaos_vocabulary():
         parse_wire_faults(["latency:5", "nonsense"])
 
 
-# -- protocol v2 codec: keys and CRC armour ----------------------------------
+# -- protocol codec: keys and CRC armour -------------------------------------
 
 
 def test_v2_submit_roundtrip_carries_the_idempotency_key():
     requests = _requests(2)
-    frame = ProtocolV2.encode_submit(9, requests, "key-abc")
-    channel, key, decoded = ProtocolV2.decode_submit_ex(frame)
+    frame = protocol.encode_submit(9, requests, "key-abc")
+    channel, key, decoded = protocol.decode_submit(frame)
     assert (channel, key) == (9, "key-abc")
     assert decoded == list(requests)
-    # the keyless accessor still works (server compatibility surface)
-    channel2, decoded2 = ProtocolV2.decode_submit(frame)
-    assert channel2 == 9 and len(decoded2) == len(requests)
 
 
 def test_v2_flipped_bit_is_a_typed_corrupt_frame():
     requests = _requests(2)
-    submit = ProtocolV2.encode_submit(1, requests, "k")
+    submit = protocol.encode_submit(1, requests, "k")
     damaged = bytearray(submit.payload)
     damaged[-1] ^= 0xFF  # envelope tail: covered by the CRC
     with pytest.raises(CorruptFrame):
-        ProtocolV2.decode_submit_ex(Frame(FRAME_SUBMIT, bytes(damaged)))
+        protocol.decode_submit(Frame(FRAME_SUBMIT, bytes(damaged)))
 
     summaries = [execute_request(r) for r in requests]
-    summary = ProtocolV2.encode_summary(1, summaries)
+    summary = protocol.wrap_summary(1, encode_summaries(summaries))
     damaged = bytearray(summary.payload)
     damaged[-1] ^= 0xFF
     with pytest.raises(CorruptFrame):
-        ProtocolV2.decode_summary(
+        protocol.decode_summary(
             Frame(FRAME_SUMMARY, bytes(damaged)), requests
         )
 
 
 def test_v2_cached_flag_roundtrips_and_preserves_bytes():
     requests = _requests(2)
-    envelope = ProtocolV2.summary_envelope(
-        [execute_request(r) for r in requests]
-    )
-    frame = ProtocolV2.wrap_summary(3, envelope, cached=True)
-    assert frame.flags == FLAG_CACHED
-    assert ProtocolV2.summary_cached(frame)
-    assert ProtocolV2.summary_channel(frame) == 3
-    fresh = ProtocolV2.wrap_summary(3, envelope)
-    assert not ProtocolV2.summary_cached(fresh)
+    envelope = encode_summaries([execute_request(r) for r in requests])
+    frame = protocol.wrap_summary(3, envelope, cached=True)
+    assert frame.flags == protocol.FLAG_CACHED
+    assert protocol.summary_cached(frame)
+    assert protocol.summary_channel(frame) == 3
+    fresh = protocol.wrap_summary(3, envelope)
+    assert not protocol.summary_cached(fresh)
     # both wrap the same envelope bytes — the byte-identical-answer rule
     assert frame.payload == fresh.payload
 
 
 def test_v2_oversized_key_is_rejected_before_the_wire():
     with pytest.raises(ValueError):
-        ProtocolV2.encode_submit(1, _requests(1), "k" * 256)
+        protocol.encode_submit(1, _requests(1), "k" * 256)
 
 
 def test_v2_non_ascii_key_is_a_typed_corrupt_frame():
@@ -273,14 +268,14 @@ def test_v2_non_ascii_key_is_a_typed_corrupt_frame():
         + envelope
     )
     with pytest.raises(CorruptFrame):
-        ProtocolV2.decode_submit_ex(Frame(FRAME_SUBMIT, payload))
+        protocol.decode_submit(Frame(FRAME_SUBMIT, payload))
 
 
 def test_v2_truncated_payloads_are_typed():
     with pytest.raises(TruncatedFrame):
-        ProtocolV2.decode_submit_ex(Frame(FRAME_SUBMIT, b"\x01"))
+        protocol.decode_submit(Frame(FRAME_SUBMIT, b"\x01"))
     with pytest.raises(TruncatedFrame):
-        ProtocolV2.summary_channel(Frame(FRAME_SUMMARY, b"\x00"))
+        protocol.summary_channel(Frame(FRAME_SUMMARY, b"\x00"))
 
 
 # -- the CommonClient contract, over all three implementations ---------------
@@ -750,7 +745,11 @@ def test_resilient_client_rejects_pre_v2_servers_without_retrying():
             frame = decoder.next_frame()
             if frame is not None:
                 break
-            decoder.feed(conn.recv(65536))
+            data = conn.recv(65536)
+            if not data:  # the client refused before negotiating
+                conn.close()
+                return
+            decoder.feed(data)
         assert frame.type == FRAME_NEGOTIATE
         accept = {"version": 1, "session": 1, "quota": 8}
         conn.sendall(
