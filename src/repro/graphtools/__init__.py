@@ -2,11 +2,12 @@
 
 from .coloring import (
     greedy_edge_coloring,
+    koenig_color_pairs,
     koenig_coloring_padded,
     koenig_edge_coloring,
     num_colors,
+    peel_matchings,
 )
-from .euler import euler_split
 from .matching import maximum_matching, perfect_matching
 from .multigraph import (
     BipartiteMultigraph,
@@ -26,9 +27,10 @@ __all__ = [
     "from_demand_matrix",
     "pad_to_regular",
     "degree_histogram",
-    "euler_split",
     "maximum_matching",
     "perfect_matching",
+    "koenig_color_pairs",
+    "peel_matchings",
     "koenig_edge_coloring",
     "koenig_coloring_padded",
     "greedy_edge_coloring",

@@ -1,20 +1,22 @@
-"""Deterministic perfect matchings in bipartite multigraphs (Hopcroft–Karp).
+"""Deterministic maximum matchings in bipartite graphs (Hopcroft–Karp).
 
-Koenig coloring of an odd-degree-regular multigraph extracts one perfect
-matching (which exists by Hall's theorem for any d-regular bipartite
-multigraph) and recurses on the even remainder.  Hopcroft–Karp runs on the
-underlying simple graph; a representative edge index (the smallest) is
-reported per matched pair so parallel edges stay distinguishable.
+Koenig coloring peels one perfect matching after another off the support of
+a regular multiplicity matrix (which has one by Hall's theorem).  The
+matcher, :func:`hopcroft_karp`, runs on plain adjacency lists and can
+resume from a partial matching, so the peel repairs its previous matching
+instead of rebuilding it.  :func:`maximum_matching` runs it on the
+underlying simple graph of a multigraph and reports a representative edge
+index (the smallest) per matched pair so parallel edges stay
+distinguishable.
 
-Determinism: vertices and neighbors are always scanned in increasing index
-order, so every simulated node computes the same matching from the same
-graph.
+Determinism: vertices and neighbors are always scanned in a fixed order, so
+every simulated node computes the same matching from the same graph.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import ColoringError
 from .multigraph import BipartiteMultigraph
@@ -22,35 +24,43 @@ from .multigraph import BipartiteMultigraph
 INF = float("inf")
 
 
-def maximum_matching(graph: BipartiteMultigraph) -> List[int]:
-    """Maximum matching as a list of edge indices (one per matched pair)."""
-    # Underlying simple adjacency with representative (smallest) edge index.
-    rep: Dict[Tuple[int, int], int] = {}
-    for idx, (u, v) in enumerate(graph.edges):
-        if (u, v) not in rep:
-            rep[(u, v)] = idx
-    simple_adj: List[List[int]] = [[] for _ in range(graph.left_size)]
-    for (u, v) in sorted(rep):
-        simple_adj[u].append(v)
+def hopcroft_karp(
+    adj: Sequence[Sequence[int]],
+    right_size: int,
+    match_left: Optional[Sequence[Optional[int]]] = None,
+) -> List[Optional[int]]:
+    """Maximum matching of a simple bipartite graph given by adjacency lists.
 
-    match_left: List[Optional[int]] = [None] * graph.left_size
-    match_right: List[Optional[int]] = [None] * graph.right_size
+    ``adj[u]`` lists the right neighbors (``0..right_size-1``) of left
+    vertex ``u``, scanned in list order.  The search augments
+    ``match_left`` — a partial matching with ``match_left[u]`` the partner
+    of ``u`` or ``None`` — and starts from the empty matching when it is
+    omitted.  Returns the maximum matching in the same form, as a new list.
+    """
+    left_size = len(adj)
+    match_left = (
+        [None] * left_size if match_left is None else list(match_left)
+    )
+    match_right: List[Optional[int]] = [None] * right_size
+    for u, v in enumerate(match_left):
+        if v is not None:
+            match_right[v] = u
 
     # Layered distances from the latest BFS phase, shared with dfs below.
-    dist: List[float] = [INF] * graph.left_size
+    dist: List[float] = [INF] * left_size
 
     def bfs() -> bool:
         nonlocal dist
-        dist = [INF] * graph.left_size
+        dist = [INF] * left_size
         queue: deque = deque()
-        for u in range(graph.left_size):
+        for u in range(left_size):
             if match_left[u] is None:
                 dist[u] = 0
                 queue.append(u)
         found_augmenting = False
         while queue:
             u = queue.popleft()
-            for v in simple_adj[u]:
+            for v in adj[u]:
                 w = match_right[v]
                 if w is None:
                     found_augmenting = True
@@ -60,7 +70,7 @@ def maximum_matching(graph: BipartiteMultigraph) -> List[int]:
         return found_augmenting
 
     def dfs(u: int) -> bool:
-        for v in simple_adj[u]:
+        for v in adj[u]:
             w = match_right[v]
             if w is None or (dist[w] == dist[u] + 1 and dfs(w)):
                 match_left[u] = v
@@ -70,18 +80,23 @@ def maximum_matching(graph: BipartiteMultigraph) -> List[int]:
         return False
 
     while bfs():
-        for u in range(graph.left_size):
+        for u in range(left_size):
             if match_left[u] is None:
                 dfs(u)
+    return match_left
 
-    return [
-        rep[(u, v)]
-        for u, v in (
-            (u, match_left[u])
-            for u in range(graph.left_size)
-            if match_left[u] is not None
-        )
-    ]
+
+def maximum_matching(graph: BipartiteMultigraph) -> List[int]:
+    """Maximum matching as a list of edge indices (one per matched pair)."""
+    # Underlying simple adjacency with representative (smallest) edge index.
+    rep: Dict[Tuple[int, int], int] = {}
+    for idx, edge in enumerate(graph.edges):
+        rep.setdefault(edge, idx)
+    adj: List[List[int]] = [[] for _ in range(graph.left_size)]
+    for (u, v) in sorted(rep):
+        adj[u].append(v)
+    match_left = hopcroft_karp(adj, graph.right_size)
+    return [rep[(u, v)] for u, v in enumerate(match_left) if v is not None]
 
 
 def perfect_matching(graph: BipartiteMultigraph) -> List[int]:

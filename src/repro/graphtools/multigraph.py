@@ -84,18 +84,6 @@ class BipartiteMultigraph:
             right_adj[v].append((u, idx))
         return left_adj, right_adj
 
-    def subgraph(self, edge_indices: Sequence[int]) -> Tuple["BipartiteMultigraph", List[int]]:
-        """Graph induced by the given edge indices.
-
-        Returns ``(graph, back_map)`` where ``back_map[i]`` is the index in
-        ``self.edges`` of the subgraph's ``i``-th edge.
-        """
-        back = list(edge_indices)
-        sub = BipartiteMultigraph(
-            self.left_size, self.right_size, [self.edges[i] for i in back]
-        )
-        return sub, back
-
     def canonical_key(self) -> Tuple:
         """Hashable identity for shared-computation caching."""
         return (self.left_size, self.right_size, tuple(self.edges))
@@ -139,23 +127,46 @@ def pad_to_regular(
     if graph.left_size != graph.right_size:
         raise ColoringError("padding requires equal side sizes")
     target = degree if degree is not None else graph.max_degree()
-    ld, rd = graph.left_degrees(), graph.right_degrees()
-    if any(d > target for d in ld + rd):
-        raise ColoringError(f"target degree {target} below existing max degree")
-
     padded = BipartiteMultigraph(
         graph.left_size, graph.right_size, list(graph.edges)
     )
-    num_real = graph.num_edges
-    left_deficit = [(u, target - d) for u, d in enumerate(ld) if target > d]
-    right_deficit = [(v, target - d) for v, d in enumerate(rd) if target > d]
+    for u, v, take in padding_cells(
+        graph.left_degrees(), graph.right_degrees(), target
+    ):
+        for _ in range(take):
+            padded.add_edge(u, v)
+    return padded, graph.num_edges
+
+
+def padding_cells(
+    left_degrees: List[int], right_degrees: List[int], target: int
+) -> List[Tuple[int, int, int]]:
+    """The dummy edges that lift these vertex degrees to ``target``.
+
+    Returns ``(u, v, count)`` triples: deficient left vertices are paired
+    with deficient right vertices greedily in increasing id order, each
+    pair taking as many parallel dummies as the smaller deficit allows.
+    This is the one padding rule shared by :func:`pad_to_regular` and the
+    matrix-level Koenig coloring, so both pad identically.
+
+    Raises :class:`ColoringError` if ``target`` is below some degree or the
+    two sides' deficits have unequal totals.
+    """
+    if any(d > target for d in left_degrees + right_degrees):
+        raise ColoringError(f"target degree {target} below existing max degree")
+    left_deficit = [
+        (u, target - d) for u, d in enumerate(left_degrees) if target > d
+    ]
+    right_deficit = [
+        (v, target - d) for v, d in enumerate(right_degrees) if target > d
+    ]
+    cells: List[Tuple[int, int, int]] = []
     li = ri = 0
     while li < len(left_deficit) and ri < len(right_deficit):
         u, du = left_deficit[li]
         v, dv = right_deficit[ri]
         take = min(du, dv)
-        for _ in range(take):
-            padded.add_edge(u, v)
+        cells.append((u, v, take))
         du -= take
         dv -= take
         if du == 0:
@@ -170,7 +181,7 @@ def pad_to_regular(
         raise ColoringError(
             "left/right padding deficits disagree; sides have unequal totals"
         )
-    return padded, num_real
+    return cells
 
 
 def degree_histogram(graph: BipartiteMultigraph) -> Dict[int, int]:

@@ -44,8 +44,7 @@ from ..core.message import Packet
 from ..core.network import CongestedClique, RunResult
 from ..core.topology import square_groups, square_partition
 from ..core.wire import fast_packet, header_codec
-from ..graphtools.coloring import koenig_coloring_padded
-from ..graphtools.multigraph import from_demand_matrix
+from ..graphtools.coloring import koenig_color_pairs
 from .primitives import (
     announce_within_group,
     broadcast_word,
@@ -81,20 +80,15 @@ def _unwire(w: Sequence[int], base: int) -> Message:
 def _color_pairs(demand: Tuple[Tuple[int, ...], ...]):
     """Koenig-color the multigraph of a demand matrix; group colors by pair.
 
-    Pure in ``demand`` and expensive (the Koenig recursion), so memoized in
-    the process-wide plan cache; the result is shared by reference and must
-    not be mutated.
+    Pure in ``demand`` (one matching peel per distinct matrix), so memoized
+    in the process-wide plan cache; the result is shared by reference and
+    must not be mutated.
     """
     return planned(("color_pairs", demand), lambda: _color_pairs_impl(demand))
 
 
 def _color_pairs_impl(demand: Tuple[Tuple[int, ...], ...]):
-    graph = from_demand_matrix([list(r) for r in demand])
-    colors = koenig_coloring_padded(graph) if graph.num_edges else []
-    by_pair: Dict[Tuple[int, int], List[int]] = {}
-    for (a, b), c in zip(graph.edges, colors):
-        by_pair.setdefault((a, b), []).append(c)
-    return by_pair
+    return koenig_color_pairs(demand)[0]
 
 
 def _send_bundled(

@@ -36,7 +36,7 @@ from ..core.context import NodeContext, planned
 from ..core.errors import ModelViolation, ProtocolError
 from ..core.message import Packet, pack_pair, unpack_pair
 from ..core.wire import bad_segment_width, fast_packet, regroup_segments
-from ..graphtools.coloring import greedy_edge_coloring, koenig_coloring_padded
+from ..graphtools.coloring import greedy_edge_coloring, koenig_color_pairs
 from ..graphtools.multigraph import from_demand_matrix
 
 Item = Tuple[int, ...]
@@ -64,12 +64,12 @@ def _color_map(
     ``2*Delta - 1`` colors — still a proper coloring, so the schedule stays
     conflict-free, at the cost of potentially one extra lane.
 
-    The coloring is a pure function of ``(demand, scheme)`` and dominates
-    the router's local work, so it is memoized in the process-wide
-    :class:`~repro.core.context.PlanCache`: repeated instances of the same
-    structure (scenario sweeps, benchmark repeats, batched service traffic)
-    pay the Koenig recursion once.  The result is shared by reference —
-    callers must not mutate it.
+    The coloring is a pure function of ``(demand, scheme)``, so it is
+    memoized in the process-wide :class:`~repro.core.context.PlanCache`:
+    repeated instances of the same structure (scenario sweeps, benchmark
+    repeats) pay the matching peel once.  Fresh-seed traffic rarely repeats
+    a demand and pays it on every call.  The result is shared by reference
+    — callers must not mutate it.
     """
     return planned(
         ("color_map", demand, scheme), lambda: _color_map_impl(demand, scheme)
@@ -79,19 +79,16 @@ def _color_map(
 def _color_map_impl(
     demand: Demand, scheme: str
 ) -> Tuple[Dict[Tuple[int, int], List[int]], int]:
-    graph = from_demand_matrix([list(row) for row in demand])
+    if scheme != "greedy":
+        return koenig_color_pairs(demand)
+    graph = from_demand_matrix(demand)
     if not graph.num_edges:
         return {}, 0
-    if scheme == "greedy":
-        colors = greedy_edge_coloring(graph)
-        degree = max(colors) + 1
-    else:
-        degree = graph.max_degree()
-        colors = koenig_coloring_padded(graph)
+    colors = greedy_edge_coloring(graph)
     by_pair: Dict[Tuple[int, int], List[int]] = {}
     for (a, b), c in zip(graph.edges, colors):
         by_pair.setdefault((a, b), []).append(c)
-    return by_pair, degree
+    return by_pair, max(colors) + 1
 
 
 def route_known(

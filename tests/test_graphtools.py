@@ -1,28 +1,31 @@
-"""Graph substrate: Euler splits, matchings, Koenig and greedy colorings."""
+"""Graph substrate: matchings, the Koenig matching peel, greedy colorings."""
 
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ColoringError
 from repro.graphtools import (
     BipartiteMultigraph,
     degree_histogram,
-    euler_split,
     from_demand_matrix,
     greedy_edge_coloring,
+    koenig_color_pairs,
     koenig_coloring_padded,
     koenig_edge_coloring,
     maximum_matching,
     num_colors,
     pad_to_regular,
+    peel_matchings,
     perfect_matching,
     verify_exact_coloring,
     verify_matching,
     verify_proper_coloring,
 )
+from repro.graphtools import coloring
+from repro.graphtools.multigraph import padding_cells
 
 
 def regular_graph(n: int, d: int, seed: int) -> BipartiteMultigraph:
@@ -64,23 +67,6 @@ def test_pad_rejects_rectangular():
     g = BipartiteMultigraph(2, 3, [(0, 0)])
     with pytest.raises(ColoringError):
         pad_to_regular(g)
-
-
-def test_euler_split_halves_degrees():
-    g = regular_graph(8, 4, seed=1)
-    a, b = euler_split(g)
-    assert sorted(a + b) == list(range(g.num_edges))
-    for part in (a, b):
-        sub, _ = g.subgraph(part)
-        assert sub.is_regular()
-        assert sub.regular_degree() == 2
-
-
-def test_euler_split_rejects_odd_degrees():
-    g = from_demand_matrix([[1, 0], [0, 1]])
-    g.add_edge(0, 1)
-    with pytest.raises(ColoringError):
-        euler_split(g)
 
 
 def test_perfect_matching_on_regular():
@@ -176,3 +162,121 @@ def test_greedy_property(n, d, seed):
     colors = greedy_edge_coloring(g)
     verify_proper_coloring(g, colors)
     assert num_colors(colors) <= 2 * d - 1
+
+
+def _check_color_pairs(demand):
+    """Every property the matrix-level Koenig coloring promises."""
+    by_pair, degree = koenig_color_pairs(demand)
+    graph = from_demand_matrix(demand)
+    assert degree == graph.max_degree()
+    assert {pair: len(cs) for pair, cs in by_pair.items()} == {
+        (a, b): m for a, row in enumerate(demand) for b, m in enumerate(row) if m
+    }
+    assert num_colors([c for cs in by_pair.values() for c in cs]) == degree
+
+    # The padded graph is exactly Delta-colored (every class a perfect
+    # matching), and its per-edge view agrees with the per-pair one.
+    padded, real = pad_to_regular(graph)
+    colors = koenig_edge_coloring(padded)
+    verify_exact_coloring(padded, colors, degree)
+    regrouped = {}
+    for edge, c in zip(padded.edges[:real], colors[:real]):
+        regrouped.setdefault(edge, []).append(c)
+    assert regrouped == by_pair
+    assert koenig_coloring_padded(graph) == colors[:real]
+
+    matrix = [[0] * len(demand) for _ in demand]
+    for u, v in padded.edges:
+        matrix[u][v] += 1
+    peeled = peel_matchings(matrix)
+    assert sum(k for _, k in peeled) == degree
+    assert len(peeled) <= sum(1 for row in matrix for m in row if m)
+
+    assert koenig_color_pairs(demand) == (by_pair, degree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    demand=st.integers(2, 6).flatmap(
+        lambda s: st.lists(
+            st.lists(st.integers(0, 30), min_size=s, max_size=s),
+            min_size=s,
+            max_size=s,
+        )
+    )
+)
+@example(demand=[[25] * 5 for _ in range(5)])
+@example(demand=[[30 * (a == b) for b in range(6)] for a in range(6)])
+def test_koenig_color_pairs_dense_high_degree(demand):
+    # The shape of rpc-mixed's relay schedules: s x s at degree up to ~180.
+    _check_color_pairs(demand)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.integers(8, 25),
+    cells=st.dictionaries(
+        st.tuples(st.integers(0, 24), st.integers(0, 24)),
+        st.integers(1, 2),
+        max_size=60,
+    ),
+)
+@example(size=8, cells={})
+@example(size=9, cells={(0, 0): 2, (3, 0): 1, (3, 8): 2})
+def test_koenig_color_pairs_sparse(size, cells):
+    # Mostly-empty rows and columns, and the all-zero matrix.
+    demand = [[0] * size for _ in range(size)]
+    for (a, b), m in cells.items():
+        if a < size and b < size:
+            demand[a][b] = m
+    _check_color_pairs(demand)
+
+
+def test_koenig_color_pairs_uses_padding_target():
+    by_pair, degree = koenig_color_pairs([[1, 0], [0, 1]], degree=3)
+    assert degree == 3
+    assert sorted(by_pair) == [(0, 0), (1, 1)]
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: koenig_color_pairs([[1, 0], [1]]), ValueError),
+        (lambda: koenig_color_pairs([[1, -1], [0, 1]]), ValueError),
+        (lambda: koenig_color_pairs([[1, 0, 0], [0, 1, 0]]), ColoringError),
+        (lambda: koenig_color_pairs([[2, 0], [0, 1]], degree=1), ColoringError),
+        (
+            lambda: koenig_coloring_padded(from_demand_matrix([[2, 1]]), 2),
+            ColoringError,
+        ),
+        (
+            lambda: koenig_coloring_padded(
+                from_demand_matrix([[2, 0], [0, 1]]), 1
+            ),
+            ColoringError,
+        ),
+        (lambda: padding_cells([0, 0], [0, 1], 1), ColoringError),
+        (lambda: peel_matchings([[2, 0], [0, 1]]), ColoringError),
+        (lambda: peel_matchings([[1, 0, 0], [0, 1, 0]]), ColoringError),
+    ],
+    ids=[
+        "ragged",
+        "negative",
+        "unequal-sides",
+        "target-below-degree",
+        "padded-unequal-sides",
+        "padded-target-below-degree",
+        "unequal-padding-totals",
+        "no-perfect-matching",
+        "peel-not-square",
+    ],
+)
+def test_koenig_color_pairs_rejects(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_koenig_color_pairs_rejects_uncolored_edges(monkeypatch):
+    monkeypatch.setattr(coloring, "peel_matchings", lambda matrix: [])
+    with pytest.raises(ColoringError, match="uncolored"):
+        koenig_color_pairs([[1, 0], [0, 1]])
