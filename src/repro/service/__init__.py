@@ -4,16 +4,19 @@ Two front ends share the same envelopes, judgement and digests:
 
 * :mod:`repro.service.batch` — *offline*: callers enqueue
   :class:`~repro.core.engine.RunRequest` envelopes (any registered
-  routing/sorting/extension algorithm x workload x engine), the
-  :class:`BatchService` shards them across a process pool (or the
-  in-process sequential baseline), warms worker plan caches from a
-  structural prefetch pass, and streams back judged
-  :class:`~repro.core.engine.RunSummary` records with batch aggregates.
+  routing/sorting/extension algorithm x workload x engine); the
+  :class:`BatchService` runs them in-process (the sequential baseline)
+  or, after a structural prefetch pass that warms worker plan caches,
+  on a process-backed stream gateway, and returns judged
+  :class:`~repro.core.engine.RunSummary` records in request order with
+  batch aggregates.
 * :mod:`repro.service.stream` — *online*: the :class:`StreamGateway`
   accepts a continuous request stream behind a bounded queue with
   explicit backpressure (reject or block), enforces per-request
   deadlines, and records tail-latency histograms; judged on sustained
-  throughput and p50/p95/p99, not batch wall-time.
+  throughput and p50/p95/p99, not batch wall-time.  It is the one
+  owner of a worker pool: its build, warm-up, transport and recovery
+  from pool death serve both front ends.
 
 Two operational companions ride on the same envelopes:
 
@@ -24,8 +27,8 @@ Two operational companions ride on the same envelopes:
   requests, stragglers) against live gateways, gated on recovery,
   digest correctness, and bounded p99.
 * :mod:`repro.service.transport` — the zero-copy request/result path
-  shared by both front ends: columnar envelope codec, shared-memory
-  slot arena with pickle fallback, and the autoscaler policy.
+  of the gateway's process pool: columnar envelope codec, shared-memory
+  slot arena with automatic pickle fallback, and the autoscaler policy.
 * :mod:`repro.service.net` — the networked front end: a versioned
   length-prefixed binary protocol over TCP whose payloads are the
   transport's columnar envelopes; asyncio server fronting the stream
@@ -47,10 +50,9 @@ from .batch import (
     CHAOS_TAG_PREFIX,
     BatchReport,
     BatchService,
-    ProcessPoolBackend,
-    SequentialBackend,
     execute_request,
     requests_from_scenarios,
+    structural_warmup,
     summaries_digest,
 )
 
@@ -69,7 +71,6 @@ _STREAM_EXPORTS = (
     "StreamReport",
     "replay",
     "serve",
-    "structural_warmup",
 )
 
 _RECORDING_EXPORTS = (
@@ -101,7 +102,6 @@ _NET_EXPORTS = (
 )
 
 _TRANSPORT_EXPORTS = (
-    "TRANSPORTS",
     "AutoscalePolicy",
     "PendingEnvelope",
     "PickleTransport",
@@ -142,10 +142,9 @@ __all__ = [
     "CHAOS_TAG_PREFIX",
     "BatchReport",
     "BatchService",
-    "ProcessPoolBackend",
-    "SequentialBackend",
     "execute_request",
     "requests_from_scenarios",
+    "structural_warmup",
     "summaries_digest",
     *_STREAM_EXPORTS,
     *_RECORDING_EXPORTS,

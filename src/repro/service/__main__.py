@@ -18,7 +18,6 @@ from ..analysis import render_table
 from ..core.engine import available_engines
 from ..scenarios.generators import DEFAULT_MIX, mixed_batch
 from .batch import BatchReport, BatchService, requests_from_scenarios
-from .transport import TRANSPORTS
 
 
 def _render(report: BatchReport) -> str:
@@ -95,13 +94,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     parser.add_argument(
-        "--transport", default="shm", choices=sorted(TRANSPORTS),
-        help=(
-            "request/result path for the process pool: shm (zero-copy "
-            "shared-memory slots, default) or pickle (pre-pickled bytes)"
-        ),
-    )
-    parser.add_argument(
         "--no-warmup", action="store_true",
         help="skip the structural prefetch / worker plan-cache warmup",
     )
@@ -126,7 +118,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         workers=args.workers,
         engine=args.engine,
         warmup=not args.no_warmup,
-        transport=args.transport,
     )
     if args.record is not None:
         from .recording import Recorder
@@ -137,7 +128,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "source": "batch",
                 "workers": args.workers,
                 "engine": args.engine,
-                "transport": args.transport if args.workers >= 2 else "",
             },
         ) as recorder:
             report = recorder.record_batch(service, requests)

@@ -1,4 +1,4 @@
-"""Sharded batch execution: many runs, many workers, one report.
+"""Batch execution: many runs, many workers, one report.
 
 Lenzen's routing and sorting finish in O(1) rounds *per instance*, so the
 axis this reproduction scales along is throughput across **many** instances
@@ -9,22 +9,25 @@ users").  This module is that front end:
   coordinates, not live objects — resolved through the scenario taxonomy
   and the algorithm registry.  Anything registered with
   :func:`repro.scenarios.runner.register_algorithm` is addressable.
-* Two backends shard a batch: :class:`SequentialBackend` runs in-process in
-  request order (the determinism baseline), :class:`ProcessPoolBackend`
-  fans chunks out to a ``ProcessPoolExecutor``.
+* ``workers < 2`` runs a batch in-process in request order (the
+  determinism baseline).  ``workers >= 2`` runs it through a
+  process-backed :class:`~repro.service.stream.StreamGateway` — the one
+  piece of code that owns a worker pool, its transport and its recovery
+  from pool death.
 * Every run is judged exactly as the scenario harness judges it (oracle
   verification, round bounds, message budget) and collapsed to a
-  :class:`~repro.core.engine.RunSummary`; summaries stream back in request
-  order so callers can consume a large batch incrementally.
+  :class:`~repro.core.engine.RunSummary`; summaries come back in request
+  order.
 * **Worker plan-cache warmup.**  The structural plans (Koenig colorings,
   group partitions, header codecs) dominate per-run setup and recur across
-  a batch.  The pool backend runs a *structural prefetch pass*: one
-  representative request per distinct ``(kind, family, n, algorithm,
-  engine)`` group executes in the parent, the parent's
-  :class:`~repro.core.context.PlanCache` is snapshotted (pickle-filtered),
-  and every worker warms from that snapshot in its initializer.  Prefetch
-  runs are real results — their summaries are spliced back into the batch,
-  so the warmup costs no duplicated work.
+  a batch.  The pooled path runs a *structural prefetch pass*
+  (:func:`structural_warmup`): one representative request per distinct
+  ``(kind, family, n, algorithm, engine)`` group executes in the parent,
+  and the gateway ships the parent's
+  :class:`~repro.core.context.PlanCache` snapshot (pickle-filtered) to
+  every worker's initializer.  Prefetch runs are real results — their
+  summaries are spliced back into the batch, so the warmup costs no
+  duplicated work.
 
 The digests let any two paths over the same batch — sequential, pooled, or
 direct ``engine.execute`` calls — be compared byte-for-byte; CI's service
@@ -33,13 +36,11 @@ smoke job and :mod:`benchmarks.bench_service` both gate on that.
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
-import pickle
 import time
-from collections import deque
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Deque, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.context import plan_cache
 from ..core.engine import (
@@ -51,17 +52,15 @@ from ..core.engine import (
 )
 from ..scenarios.generators import Scenario
 from ..scenarios.runner import ScenarioOutcome, ScenarioRunner
-from .transport import PendingEnvelope, make_transport
 
 __all__ = [
     "BatchReport",
     "BatchService",
     "CHAOS_TAG_PREFIX",
-    "ProcessPoolBackend",
-    "SequentialBackend",
     "execute_request",
     "requests_from_scenarios",
     "structural_key",
+    "structural_warmup",
     "summaries_digest",
 ]
 
@@ -115,9 +114,8 @@ def structural_key(req: RunRequest) -> Tuple:
 
     Requests sharing this key replay identical Koenig colorings, group
     partitions and header codecs from the plan cache (the seed only varies
-    payloads, never structure).  Both the batch service's prefetch pass and
-    the streaming gateway's ``structural_warmup`` dedupe through here, so
-    the two regimes can never disagree on what counts as warm.
+    payloads, never structure).  :func:`structural_warmup` dedupes through
+    here.
     """
     return (req.kind, req.family, req.n, req.algorithm, req.engine)
 
@@ -183,178 +181,34 @@ def execute_request(req: RunRequest) -> RunSummary:
     return _summarize(req, outcome)
 
 
-def _execute_chunk(reqs: List[RunRequest]) -> List[RunSummary]:
-    return [execute_request(r) for r in reqs]
+def structural_warmup(
+    requests: Sequence[RunRequest], max_runs: int = 16
+) -> Dict[int, RunSummary]:
+    """Warm this process's plan cache from structural representatives.
 
+    Runs the first request of every distinct :func:`structural_key` group,
+    at most ``max_runs`` of them, in the calling process, so the plans
+    they build are resident before a worker pool starts (the gateway
+    ships the snapshot to its workers).  Returns the summaries by request
+    index: the batch service splices them back into its results; a stream
+    has no fixed membership to splice into and drops them.
 
-def _warm_worker(plans: Dict[Hashable, object]) -> None:
-    """Pool-worker initializer: adopt the parent's structural plans."""
-    plan_cache().warm(plans)
-
-
-def _pickle_plans(plans: Dict[Hashable, object]) -> bytes:
-    """Freeze a plan-cache snapshot into one reusable initializer blob.
-
-    Pickled **once per batch** and handed to every worker initializer —
-    including the workers of every pool rebuilt after a chaos kill.
-    Before this existed the snapshot dict rode the ``initargs`` tuple and
-    was re-pickled on every pool (re)build, which made recovery cost
-    scale with the warm set.
+    A ``chaos:`` request is never picked.  Warmup runs in the calling
+    process, where a fault (worst case ``chaos:kill``) would take down the
+    service instead of a disposable pool worker: faults only ever fire
+    behind the executor boundary.
     """
-    return pickle.dumps(plans, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def _warm_worker_blob(blob: bytes) -> None:
-    """Pool-worker initializer: adopt a pre-pickled plan snapshot."""
-    plan_cache().warm(pickle.loads(blob))
-
-
-class SequentialBackend:
-    """In-process, in-order execution — the determinism baseline."""
-
-    name = "sequential"
-
-    def execute(self, requests: Sequence[RunRequest]) -> Iterator[RunSummary]:
-        for req in requests:
-            yield execute_request(req)
-
-    def close(self) -> None:
-        pass
-
-
-class ProcessPoolBackend:
-    """Shard a batch across a ``ProcessPoolExecutor``.
-
-    Args:
-        workers: pool size (>= 1).
-        warm_plans: plan-cache snapshot installed in every worker's
-            process-wide :class:`~repro.core.context.PlanCache` before it
-            takes work (see :meth:`PlanCache.warm`).  Pickled **once** into
-            an initializer blob (:func:`_pickle_plans`) shared by every
-            pool this backend builds, including rebuilds after breakage.
-        chunk: requests per task; ``None`` picks ``ceil(batch / (4 *
-            workers))`` capped at 32 — large enough to amortize IPC, small
-            enough to keep the pool balanced and summaries streaming.
-        transport: envelope transport across the executor boundary —
-            ``"shm"`` (columnar envelopes through shared-memory slots,
-            auto-degrading to pickle where shared memory is unavailable)
-            or ``"pickle"`` (columnar envelopes through the executor's
-            pickle channel).  See :mod:`repro.service.transport`.
-
-    Chunks move as *columnar envelopes*, not per-object pickles, and are
-    submitted through a sliding window (``4 * workers`` in flight) sized
-    to the transport's shared-memory arena — every in-flight chunk can
-    hold a slot, and summaries stream back as each envelope resolves.
-
-    **Pool-death semantics.**  When a worker process dies mid-batch (OOM
-    kill, segfault, a chaos ``kill`` fault), ``ProcessPoolExecutor`` breaks
-    the *whole* pool: every pending future raises ``BrokenExecutor``.
-    Instead of propagating — which would discard every already-judged
-    summary — the backend marks the chunk whose envelope surfaced the
-    breakage as :data:`~repro.core.engine.STATUS_FAILED`, abandons the
-    outstanding envelopes (their shared-memory slots recycle when the dead
-    futures settle), rebuilds the pool, and redispatches the chunks that
-    had not yet been consumed.  A chunk is never resubmitted after its own
-    failure, so a poison chunk that kills every pool it touches converges:
-    each rebuild retires at least one chunk.  The batch digest is
-    unaffected by the failed chunks (:func:`summaries_digest` folds only
-    resolved runs).
-    """
-
-    name = "process-pool"
-
-    def __init__(
-        self,
-        workers: int,
-        warm_plans: Optional[Dict[Hashable, object]] = None,
-        chunk: Optional[int] = None,
-        transport: str = "shm",
-    ) -> None:
-        if workers < 1:
-            raise ValueError("process pool needs workers >= 1")
-        self.workers = workers
-        self.chunk = chunk
-        self._warm_blob = _pickle_plans(warm_plans or {})
-        self._window = 4 * workers
-        self._transport = make_transport(
-            transport, slots=max(2, min(16, self._window))
-        )
-        #: pools rebuilt after mid-batch breakage (chaos gates read this).
-        self.pool_replacements = 0
-        self._pool = self._build_pool()
-
-    @property
-    def transport_name(self) -> str:
-        return self._transport.name
-
-    def _build_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_warm_worker_blob,
-            initargs=(self._warm_blob,),
-        )
-
-    def _chunk_size(self, batch: int) -> int:
-        if self.chunk is not None:
-            return max(1, self.chunk)
-        return max(1, min(32, -(-batch // (4 * self.workers))))
-
-    def execute(self, requests: Sequence[RunRequest]) -> Iterator[RunSummary]:
-        size = self._chunk_size(len(requests))
-        chunks = [
-            list(requests[i:i + size]) for i in range(0, len(requests), size)
-        ]
-        pending: Deque[Tuple[List[RunRequest], PendingEnvelope]] = deque()
-        next_chunk = 0
-
-        def refill() -> None:
-            nonlocal next_chunk
-            while next_chunk < len(chunks) and len(pending) < self._window:
-                chunk = chunks[next_chunk]
-                pending.append(
-                    (chunk, self._transport.dispatch(self._pool, chunk))
-                )
-                next_chunk += 1
-
-        refill()
-        while pending:
-            chunk, envelope = pending.popleft()
-            try:
-                results = envelope.decode()
-            except BrokenExecutor as exc:
-                for req in chunk:
-                    yield RunSummary(
-                        request=req,
-                        ok=False,
-                        status=STATUS_FAILED,
-                        error=(
-                            f"worker pool died mid-batch: "
-                            f"{type(exc).__name__}: {exc}"
-                        ),
-                    )
-                # The dead pool poisons every outstanding future; abandon
-                # the in-flight envelopes, rebuild once and redispatch the
-                # chunks not yet consumed (re-running a chunk is safe —
-                # execution is deterministic and side-effect free).  The
-                # failed chunk itself is retired.
-                resubmit = [c for c, _ in pending]
-                for _, stale in pending:
-                    stale.abandon()
-                pending.clear()
-                self._pool.shutdown(wait=False)
-                self._pool = self._build_pool()
-                self.pool_replacements += 1
-                for c in resubmit:
-                    pending.append(
-                        (c, self._transport.dispatch(self._pool, c))
-                    )
-            else:
-                yield from results
-            refill()
-
-    def close(self) -> None:
-        self._pool.shutdown()
-        self._transport.close()
+    seen = set()
+    warmed: Dict[int, RunSummary] = {}
+    for i, req in enumerate(requests):
+        if len(warmed) >= max_runs:
+            break
+        key = structural_key(req)
+        if req.tag.startswith(CHAOS_TAG_PREFIX) or key in seen:
+            continue
+        seen.add(key)
+        warmed[i] = execute_request(req)
+    return warmed
 
 
 @dataclass
@@ -370,9 +224,12 @@ class BatchReport:
     plan_cache_stats: Tuple[int, int, int] = (0, 0, 0)
     #: worker pools rebuilt after mid-batch breakage (0 on a healthy run).
     pool_replacements: int = 0
-    #: envelope transport the pool backend actually used ("shm", "pickle",
-    #: or "" for the sequential backend, which crosses no boundary).
+    #: envelope transport the pool used: "shm", "pickle" when shared
+    #: memory could not be created, or "" when no request crossed a
+    #: process boundary.
     transport: str = ""
+    #: why the pool's transport fell back to pickle ("" on shm).
+    fallback_reason: str = ""
 
     @property
     def ok(self) -> bool:
@@ -428,6 +285,7 @@ class BatchReport:
             "backend": self.backend,
             "workers": self.workers,
             "transport": self.transport,
+            "fallback_reason": self.fallback_reason,
             "ok": self.ok,
             "requests": len(self.summaries),
             "failed": len(self.failures),
@@ -458,23 +316,25 @@ class BatchService:
     """The batch-execution front end.
 
     Args:
-        workers: ``0`` or ``1`` selects the in-process
-            :class:`SequentialBackend`; ``>= 2`` shards across a
-            :class:`ProcessPoolBackend` of that many workers.
+        workers: ``0`` or ``1`` runs the batch in-process, in request
+            order; ``>= 2`` runs it on a process-backed
+            :class:`~repro.service.stream.StreamGateway` of that many
+            workers.
         engine: default engine name stamped on requests that carry
             ``engine=None``.
-        warmup: run the structural prefetch pass before sharding (pool
-            backend only; the sequential backend warms its own cache as a
-            side effect of running).
+        warmup: run the structural prefetch pass before the pool starts
+            (pooled path only; the in-process path warms its own cache as
+            a side effect of running).
         max_prefetch: cap on prefetch runs.  Warmup is best-effort
             amortization: a batch sweeping many distinct structures (every
             request its own group) must not degenerate into running the
             whole batch serially in the parent, so at most this many
             representatives execute up front and the remaining groups start
             cold in the workers.
-        chunk: override the pool backend's chunk size.
-        transport: envelope transport of the pool backend (``"shm"`` or
-            ``"pickle"``; the sequential backend ignores it).
+        chunk: requests per executor hop on the pooled path (the
+            gateway's ``micro_batch``); ``None`` picks ``ceil(batch / (4 *
+            workers))`` capped at 32 — large enough to amortize IPC, small
+            enough to keep the pool balanced.
     """
 
     def __init__(
@@ -484,7 +344,6 @@ class BatchService:
         warmup: bool = True,
         max_prefetch: int = 32,
         chunk: Optional[int] = None,
-        transport: str = "shm",
     ) -> None:
         if engine not in available_engines():
             raise ValueError(
@@ -496,7 +355,6 @@ class BatchService:
         self.warmup = warmup
         self.max_prefetch = max(0, int(max_prefetch))
         self.chunk = chunk
-        self.transport = transport
 
     # -- internals ----------------------------------------------------------
 
@@ -506,33 +364,48 @@ class BatchService:
             for req in requests
         ]
 
-    def _prefetch_indices(self, requests: Sequence[RunRequest]) -> List[int]:
-        """Index of the first request of every distinct structural group.
+    def _chunk_size(self, batch: int) -> int:
+        if self.chunk is not None:
+            return max(1, self.chunk)
+        return max(1, min(32, -(-batch // (4 * self.workers))))
 
-        Capped so warmup stays best-effort amortization: at most
-        ``max_prefetch`` representatives, and never more than a small
-        fraction of the batch per worker — a structurally diverse batch
-        must not serialize into the parent while the pool sits idle.
-        """
-        cap = min(
-            self.max_prefetch,
-            len(requests) // (2 * max(1, self.workers)) + 1,
+    def _run_pooled(
+        self, requests: List[RunRequest], info: Dict[str, object]
+    ) -> List[RunSummary]:
+        """Run ``requests`` through a process-backed gateway, in order."""
+        if not requests:
+            return []
+        # stream.py imports this module, so the gateway is imported late.
+        from .stream import StreamGateway
+
+        gateway = StreamGateway(
+            workers=self.workers,
+            engine=self.engine,
+            backend="process",
+            queue_cap=len(requests),
+            policy="block",
+            micro_batch=self._chunk_size(len(requests)),
         )
-        seen = set()
-        picks = []
-        for i, req in enumerate(requests):
-            if req.tag.startswith(CHAOS_TAG_PREFIX):
-                # Prefetch executes in the parent process; a chaos fault
-                # (worst case ``chaos:kill``) must only ever fire behind
-                # the executor boundary, in a disposable pool worker.
-                continue
-            key = structural_key(req)
-            if key not in seen:
-                seen.add(key)
-                picks.append(i)
-                if len(picks) >= cap:
-                    break
-        return picks
+
+        async def run() -> List[RunSummary]:
+            async with gateway:
+                # A batch is judged on completion, so it ignores request
+                # deadlines; the gateway would enforce them.
+                futures = [
+                    await gateway.submit(replace(req, deadline_ms=None))
+                    for req in requests
+                ]
+                return [
+                    replace(await future, request=req)
+                    for req, future in zip(requests, futures)
+                ]
+
+        summaries = asyncio.run(run())
+        info["warmed"] = gateway.warmed_plans
+        info["transport"] = gateway.transport_name
+        info["fallback_reason"] = gateway.fallback_reason
+        info["pool_replacements"] = gateway.metrics.pool_replacements
+        return summaries
 
     # -- execution ----------------------------------------------------------
 
@@ -541,53 +414,38 @@ class BatchService:
         requests: Iterable[RunRequest],
         _info: Optional[Dict[str, object]] = None,
     ) -> Iterator[Tuple[RunRequest, RunSummary]]:
-        """Execute a batch, streaming ``(request, summary)`` in order.
+        """Execute a batch, yielding ``(request, summary)`` in request order.
 
-        ``_info``, when given, receives warmup accounting (``warmed``,
-        ``prefetch_runs``) — internal plumbing for :meth:`run_batch`.
+        In-process (``workers < 2``) each summary is yielded as its run
+        finishes.  The pooled path runs the prefetch pass, drives the rest
+        of the batch through the gateway under :func:`asyncio.run`, and
+        yields once the gateway has drained — so it cannot be called from
+        a running event loop.
+
+        ``_info``, when given, receives the pool accounting (``warmed``,
+        ``prefetch_runs``, ``transport``, ``fallback_reason``,
+        ``pool_replacements``) — internal plumbing for :meth:`run_batch`.
         """
         stamped = self._stamp(requests)
         if self.workers < 2:
-            backend = SequentialBackend()
-            try:
-                for req, summary in zip(stamped, backend.execute(stamped)):
-                    yield req, summary
-            finally:
-                backend.close()
+            for req in stamped:
+                yield req, execute_request(req)
             return
-        # Pool path.  The structural prefetch pass runs one representative
-        # per distinct (kind, family, n, algorithm, engine) group in the
-        # parent — real work, its summaries are spliced back into the batch
-        # — then ships the resulting plan-cache snapshot to every worker.
+        info: Dict[str, object] = {} if _info is None else _info
         prefetched: Dict[int, RunSummary] = {}
-        warm_plans: Dict[Hashable, object] = {}
         if self.warmup:
-            for i in self._prefetch_indices(stamped):
-                prefetched[i] = execute_request(stamped[i])
-            warm_plans = plan_cache().snapshot()
-        if _info is not None:
-            _info["warmed"] = len(warm_plans)
-            _info["prefetch_runs"] = len(prefetched)
-        backend = ProcessPoolBackend(
-            self.workers,
-            warm_plans=warm_plans,
-            chunk=self.chunk,
-            transport=self.transport,
-        )
-        if _info is not None:
-            _info["transport"] = backend.transport_name
-        rest = [req for i, req in enumerate(stamped) if i not in prefetched]
-        try:
-            pooled = backend.execute(rest)
-            for i, req in enumerate(stamped):
-                if i in prefetched:
-                    yield req, prefetched[i]
-                else:
-                    yield req, next(pooled)
-        finally:
-            if _info is not None:
-                _info["pool_replacements"] = backend.pool_replacements
-            backend.close()
+            # Capped so a structurally diverse batch cannot serialize into
+            # the parent while the pool sits idle.
+            prefetched = structural_warmup(stamped, min(
+                self.max_prefetch, len(stamped) // (2 * self.workers) + 1
+            ))
+        info["prefetch_runs"] = len(prefetched)
+        pooled = iter(self._run_pooled(
+            [req for i, req in enumerate(stamped) if i not in prefetched],
+            info,
+        ))
+        for i, req in enumerate(stamped):
+            yield req, prefetched[i] if i in prefetched else next(pooled)
 
     def run_batch(self, requests: Iterable[RunRequest]) -> BatchReport:
         """Execute a batch to completion and aggregate the summaries."""
@@ -598,17 +456,16 @@ class BatchService:
         summaries = [s for _, s in self.execute(requests, _info=info)]
         wall = time.perf_counter() - t0
         hits1, misses1, size1 = pc.stats()
+        pooled = self.workers >= 2
         return BatchReport(
             summaries=summaries,
-            backend=(
-                ProcessPoolBackend.name if self.workers >= 2
-                else SequentialBackend.name
-            ),
-            workers=self.workers if self.workers >= 2 else 1,
+            backend="process-pool" if pooled else "sequential",
+            workers=self.workers if pooled else 1,
             wall_s=wall,
             warmed_plans=int(info.get("warmed", 0)),
             prefetch_runs=int(info.get("prefetch_runs", 0)),
             plan_cache_stats=(hits1 - hits0, misses1 - misses0, size1),
             pool_replacements=int(info.get("pool_replacements", 0)),
             transport=str(info.get("transport", "")),
+            fallback_reason=str(info.get("fallback_reason", "")),
         )

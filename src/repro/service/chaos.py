@@ -37,7 +37,7 @@ Gates (all must hold for exit code 0):
 5. **shm leak free** — the shared-memory transport owns no more live
    segments after the chaos run than before it: worker kills (which
    break the pool mid-envelope) must never strand a parent-owned slot.
-   Vacuously true on the pickle transport.
+   Vacuously true when the pool fell back to pickle bytes.
 
 This module's faults live at the *request* level.  The wire-level
 counterpart — latency, jitter, rate caps, mid-frame disconnects,
@@ -74,7 +74,7 @@ from .batch import (
     BatchService,
     requests_from_scenarios,
 )
-from .transport import TRANSPORTS, ShmArena
+from .transport import ShmArena
 
 __all__ = [
     "ChaosFault",
@@ -264,7 +264,6 @@ def run_chaos(
     p99_slack_ms: float = 500.0,
     compare_clean: bool = True,
     record: Optional[str] = None,
-    transport: str = "shm",
 ) -> ChaosReport:
     """Drive a fault-laden workload through a live gateway and gate it.
 
@@ -308,7 +307,6 @@ def run_chaos(
             backend=backend,
             queue_cap=cap,
             policy="block",
-            transport=transport,
         )
         p99_clean_ms = clean_report.metrics["latency"]["p99_ms"]
 
@@ -325,7 +323,6 @@ def run_chaos(
         queue_cap=cap,
         policy="block",
         record=record,
-        transport=transport,
     )
     segments_after = set(ShmArena.live_segments())
 
@@ -458,13 +455,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--record", default=None, metavar="PATH",
         help="capture the chaos run's traffic for replay/forensics",
     )
-    parser.add_argument(
-        "--transport", default="shm", choices=TRANSPORTS,
-        help=(
-            "gateway envelope transport under fault injection "
-            "(default: shm)"
-        ),
-    )
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
 
@@ -484,7 +474,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             p99_slack_ms=args.p99_slack_ms,
             compare_clean=not args.no_clean_baseline,
             record=args.record,
-            transport=args.transport,
         )
     except ValueError as exc:
         parser.error(str(exc))

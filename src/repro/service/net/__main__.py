@@ -34,7 +34,6 @@ import time
 from typing import Dict, List, Optional
 
 from ..batch import BatchService, requests_from_scenarios, summaries_digest
-from ..transport import TRANSPORTS
 from .client import Client, CommonClient
 from .faultproxy import ProxyThread
 from .framing import MAX_FRAME_BYTES
@@ -66,10 +65,6 @@ def _add_gateway_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--deadline-ms", type=float, default=None, metavar="MS",
         help="per-request deadline (default none)",
-    )
-    parser.add_argument(
-        "--transport", default="shm", choices=sorted(TRANSPORTS),
-        help="process-backend transport (default shm)",
     )
     parser.add_argument(
         "--micro-batch", type=int, default=1, metavar="N",
@@ -142,7 +137,6 @@ def _server_kwargs(args: argparse.Namespace) -> dict:
         queue_cap=args.queue_cap,
         policy=args.policy,
         deadline_ms=args.deadline_ms,
-        transport=args.transport,
         micro_batch=args.micro_batch,
         autoscale=args.autoscale,
         session_quota=args.quota,

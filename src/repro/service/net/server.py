@@ -166,7 +166,7 @@ class NetServer:
 
     Gateway-shaping keyword arguments (``workers``, ``engine``,
     ``backend``, ``queue_cap``, ``policy``, ``deadline_ms``,
-    ``transport``, ``micro_batch``, ``micro_batch_ms``, ``autoscale``)
+    ``micro_batch``, ``micro_batch_ms``, ``autoscale``)
     are passed through to the owned gateway verbatim; ``session_quota``
     and ``max_frame`` are the network layer's own knobs.
 
@@ -186,7 +186,6 @@ class NetServer:
         queue_cap: int = 64,
         policy: str = "reject",
         deadline_ms: Optional[float] = None,
-        transport: str = "shm",
         micro_batch: int = 1,
         micro_batch_ms: float = 2.0,
         autoscale: bool = False,
@@ -220,7 +219,6 @@ class NetServer:
             queue_cap=queue_cap,
             policy=policy,
             deadline_ms=deadline_ms,
-            transport=transport,
             micro_batch=micro_batch,
             micro_batch_ms=micro_batch_ms,
             autoscale=autoscale,

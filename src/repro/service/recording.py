@@ -36,9 +36,9 @@ Replay
 
 :func:`replay_capture` re-feeds the recorded requests through a live
 :func:`~repro.service.stream.serve` run at the recorded arrival offsets
-and compares digests; :class:`ReplayingBackend` instead serves the
-*recorded* summaries through the batch-backend protocol — a stand-in
-executor for tests and forensics that must not re-run anything.
+and compares digests; :class:`ReplayingBackend` instead answers requests
+with the *recorded* summaries — a stand-in executor for tests and
+forensics that must not re-run anything.
 
 Command line::
 
@@ -458,14 +458,13 @@ class _RecordingGateway:
 
 
 class ReplayingBackend:
-    """Batch-style backend that serves *recorded* summaries verbatim.
+    """Stand-in executor that serves *recorded* summaries verbatim.
 
-    Speaks the same ``execute(requests) -> Iterator[RunSummary]`` /
-    ``close()`` protocol as the live batch backends, but never runs
-    anything: each request is answered with the recorded summary whose
-    envelope matches.  Deterministic by construction — replaying twice
-    yields byte-identical digests — and the drop-in stand-in for tests
-    and forensics that must not depend on engine execution.
+    ``execute(requests)`` yields, in request order, the recorded summary
+    whose envelope matches each request; nothing ever runs.
+    Deterministic by construction — replaying twice yields byte-identical
+    digests — for tests and forensics that must not depend on engine
+    execution.
     """
 
     name = "replaying"
@@ -495,7 +494,7 @@ class ReplayingBackend:
                 )
             yield bucket.pop(0)
 
-    def close(self) -> None:  # protocol parity with live backends
+    def close(self) -> None:
         pass
 
 

@@ -7,6 +7,8 @@ on batch wall-time.  This module is the *online* regime the ROADMAP's
 accepts a continuous stream of :class:`~repro.core.engine.RunRequest`
 envelopes, applies explicit backpressure, enforces per-request deadlines,
 and is judged on sustained throughput and tail latency (p50/p95/p99).
+It is also the only code that owns a worker pool: a pooled batch
+(``BatchService(workers >= 2)``) runs on a process-backed gateway.
 
 Architecture::
 
@@ -30,21 +32,26 @@ Architecture::
   slot-occupancy cost a real service pays for late cancellation.
 * **Warm workers.**  The process backend ships the parent's
   :class:`~repro.core.context.PlanCache` snapshot to every pool worker at
-  start (same ``snapshot()/warm()`` machinery as the batch service), and
-  :func:`structural_warmup` pre-populates the parent cache from one
-  representative request per distinct structural group.  The thread
-  backend shares the process-wide plan cache outright — it exists for
-  environments where process pools are unavailable (restricted sandboxes,
-  embedded interpreters); the GIL serializes pure-Python execution, so it
-  trades throughput for portability.
+  start (``snapshot()/warm()``), and
+  :func:`~repro.service.batch.structural_warmup` pre-populates the parent
+  cache from one representative request per distinct structural group.
+  The thread backend shares the process-wide plan cache outright — it
+  exists for environments where process pools are unavailable
+  (restricted sandboxes, embedded interpreters); the GIL serializes
+  pure-Python execution, so it trades throughput for portability.
 * **Metrics.**  :class:`StreamMetrics` records latency/queue-wait/service
   histograms (:class:`~repro.core.metrics.LatencyHistogram`), status
   counters and queue-depth extrema; :class:`StreamReport` rolls them up
   with the order-independent digest shared with the batch service, so
   "streaming == batch == sequential" is a one-line comparison.
 * **Zero-copy transport.**  The process backend ships work as columnar
-  envelopes (:mod:`repro.service.transport`) — shared-memory slots by
-  default, pickle-bytes fallback — instead of per-object pickles.
+  envelopes (:mod:`repro.service.transport`) through shared-memory slots,
+  falling back to pickle bytes when shared memory is unavailable, every
+  slot is busy, or an envelope is too large.
+* **Pool death.**  A dead pool child breaks the whole pool: the hops in
+  flight on it fail, and the pool is replaced once and counted once.  A
+  pool that broke while idle refuses the next submit; nothing ran, so the
+  gateway replaces the pool and submits that hop once more.
 * **Micro-batching.**  Dispatchers can coalesce up to K queued requests
   (or wait T ms for batch-mates, whichever first; K adapts to observed
   queue depth) into one executor hop.  Off by default (K=1): coalescing
@@ -69,6 +76,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import pickle
 import sys
 import time
 from concurrent.futures import (
@@ -78,7 +86,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..core.context import plan_cache
 from ..core.engine import (
@@ -93,21 +101,13 @@ from ..core.engine import (
 from ..core.metrics import LatencyHistogram
 from ..scenarios.generators import DEFAULT_MIX, arrival_times, mixed_batch
 from .batch import (
-    CHAOS_TAG_PREFIX,
     BatchService,
-    _pickle_plans,
-    _warm_worker_blob,
     execute_request,
     requests_from_scenarios,
-    structural_key,
+    structural_warmup,
     summaries_digest,
 )
-from .transport import (
-    TRANSPORTS,
-    AutoscalePolicy,
-    PendingEnvelope,
-    make_transport,
-)
+from .transport import AutoscalePolicy, PendingEnvelope, make_transport
 
 __all__ = [
     "STATUS_CANCELLED",
@@ -120,7 +120,6 @@ __all__ = [
     "StreamReport",
     "replay",
     "serve",
-    "structural_warmup",
 ]
 
 BACKENDS = ("process", "thread")
@@ -151,36 +150,19 @@ def _run_tickets(requests: List[RunRequest]) -> List[RunSummary]:
     return [execute_request(r) for r in requests]
 
 
-def structural_warmup(
-    requests: Sequence[RunRequest], max_runs: int = 16
-) -> List[RunSummary]:
-    """Warm the parent plan cache from structural representatives.
+def _pickle_plans(plans: Dict[Hashable, object]) -> bytes:
+    """Freeze a plan-cache snapshot into one reusable initializer blob.
 
-    Runs one request per distinct ``(kind, family, n, algorithm, engine)``
-    group — capped at ``max_runs`` — in the calling process, so the plans
-    they build land in the process-wide cache before a gateway starts (the
-    process backend then ships the snapshot to its workers).  Unlike the
-    batch service's prefetch pass these runs are *not* part of any stream:
-    a stream has no fixed membership to splice results into, so warmup here
-    is paid once at startup, like a service loading its models.
+    Pickled **once per gateway** and handed to every worker initializer —
+    including the workers of every pool rebuilt after a worker death, so
+    recovery cost does not scale with the warm set.
     """
-    seen = set()
-    out: List[RunSummary] = []
-    for req in requests:
-        if req.tag.startswith(CHAOS_TAG_PREFIX):
-            # Warmup executes in the calling process: a chaos fault here
-            # (worst case ``chaos:kill``) would take down the gateway's
-            # parent instead of a disposable pool worker.  Faults only
-            # ever fire behind the executor boundary.
-            continue
-        key = structural_key(req)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(execute_request(req))
-        if len(out) >= max_runs:
-            break
-    return out
+    return pickle.dumps(plans, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _warm_worker_blob(blob: bytes) -> None:
+    """Pool-worker initializer: adopt a pre-pickled plan snapshot."""
+    plan_cache().warm(pickle.loads(blob))
 
 
 class StreamMetrics:
@@ -288,10 +270,6 @@ class StreamGateway:
             ``"block"`` (make ``submit`` await space).
         deadline_ms: default per-request latency budget; a request's own
             ``deadline_ms`` wins.  ``None`` means no deadline.
-        transport: envelope transport of the process backend — ``"shm"``
-            (shared-memory slots, auto-degrading to pickle) or
-            ``"pickle"``.  The thread backend crosses no process boundary
-            and ignores it.
         micro_batch: max requests a dispatcher coalesces into one executor
             hop.  ``1`` (default) dispatches per request — micro-batching
             widens the window between a request starting and its deadline
@@ -318,7 +296,6 @@ class StreamGateway:
         queue_cap: int = 64,
         policy: str = "reject",
         deadline_ms: Optional[float] = None,
-        transport: str = "shm",
         micro_batch: int = 1,
         micro_batch_ms: float = 2.0,
         autoscale: bool = False,
@@ -337,10 +314,6 @@ class StreamGateway:
             raise ValueError(
                 f"unknown policy {policy!r}; want one of {POLICIES}"
             )
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; want one of {TRANSPORTS}"
-            )
         if workers < 1:
             raise ValueError("stream gateway needs workers >= 1")
         if queue_cap < 1:
@@ -353,7 +326,6 @@ class StreamGateway:
         self.queue_cap = int(queue_cap)
         self.policy = policy
         self.deadline_ms = deadline_ms
-        self.transport = transport
         self.micro_batch = int(micro_batch)
         self.micro_batch_ms = float(micro_batch_ms)
         self.autoscale = autoscale
@@ -365,14 +337,24 @@ class StreamGateway:
         self._pool: Optional[Executor] = None
         self._transport = None
         self._warm_blob = b""
+        #: plan-cache entries shipped to every process-backend worker.
+        self.warmed_plans = 0
         self._tasks: List["asyncio.Task[None]"] = []
         self._sampler: Optional["asyncio.Task[None]"] = None
         self._closed = False
 
     @property
     def transport_name(self) -> str:
-        """The transport actually in use ("" for the thread backend)."""
+        """The process backend's transport: ``"shm"``, or ``"pickle"`` when
+        shared memory could not be created ("" for the thread backend)."""
         return self._transport.name if self._transport is not None else ""
+
+    @property
+    def fallback_reason(self) -> str:
+        """Why the transport fell back to pickle ("" otherwise)."""
+        if self._transport is None:
+            return ""
+        return self._transport.fallback_reason
 
     @property
     def queue_depth(self) -> int:
@@ -400,9 +382,11 @@ class StreamGateway:
             # Snapshot + pickle the warm plans ONCE; every pool this
             # gateway ever builds — including rebuilds after breakage —
             # reuses the same initializer blob.
-            self._warm_blob = _pickle_plans(plan_cache().snapshot())
+            plans = plan_cache().snapshot()
+            self.warmed_plans = len(plans)
+            self._warm_blob = _pickle_plans(plans)
             self._transport = make_transport(
-                self.transport, slots=max(2, min(16, 2 * self.workers))
+                slots=max(2, min(16, 2 * self.workers))
             )
         self._pool = self._build_pool()
         self._queue = asyncio.Queue(maxsize=self.queue_cap)
@@ -542,8 +526,8 @@ class StreamGateway:
             self._pool.shutdown(wait=True)
             self._pool = None
         if self._transport is not None:
+            # Closed but kept: the report still names what was used.
             self._transport.close()
-            self._transport = None
 
     async def __aenter__(self) -> "StreamGateway":
         return await self.start()
@@ -687,6 +671,16 @@ class StreamGateway:
             drain(target)
         return retire
 
+    def _put(
+        self, pool: Executor, requests: List[RunRequest]
+    ) -> Tuple[Optional[PendingEnvelope], "asyncio.Future[object]"]:
+        """Submit one hop: its envelope (process backend) and its result."""
+        if self._transport is None:
+            loop = asyncio.get_running_loop()
+            return None, loop.run_in_executor(pool, _run_tickets, requests)
+        envelope = self._transport.dispatch(pool, requests)
+        return envelope, asyncio.wrap_future(envelope.future)
+
     async def _dispatch_batch(self, tickets: List[_Ticket]) -> None:
         """Run one micro-batch through the executor, one hop for all.
 
@@ -724,15 +718,15 @@ class StreamGateway:
 
         pool = self._pool
         requests = [t.request for t in live]
-        envelope: Optional[PendingEnvelope] = None
-        if self.backend == "process" and self._transport is not None:
-            envelope = self._transport.dispatch(pool, requests)
-            task: "asyncio.Future[object]" = asyncio.wrap_future(
-                envelope.future
-            )
-        else:
-            loop = asyncio.get_running_loop()
-            task = loop.run_in_executor(pool, _run_tickets, requests)
+        try:
+            envelope, task = self._put(pool, requests)
+        except BrokenExecutor:
+            # The pool broke while idle (an OOM kill, an operator's
+            # ``kill``), so submit refused the hop and nothing ran:
+            # replace the pool and put the hop on the new one, once.
+            self._replace_pool(pool)
+            pool = self._pool
+            envelope, task = self._put(pool, requests)
 
         # Enforce mid-run deadlines per ticket, soonest first.  The hop is
         # shared, so a timed-out ticket abandons its *result*, never the
@@ -795,7 +789,9 @@ class StreamGateway:
             # ticket MUST still resolve — an unresolved future deadlocks
             # serve().  The runs are FAILED, not completed: they produced
             # no result, and mislabeling them would poison digests and
-            # percentiles.
+            # percentiles.  The hops in flight on a dead pool fail, and
+            # the pool is replaced once (identity-guarded) and counted
+            # once.
             if envelope is not None:
                 envelope.abandon()
             for ticket in live:
@@ -960,7 +956,6 @@ def serve(
     queue_cap: int = 64,
     policy: str = "reject",
     deadline_ms: Optional[float] = None,
-    transport: str = "shm",
     micro_batch: int = 1,
     autoscale: bool = False,
     autoscale_policy: Optional[AutoscalePolicy] = None,
@@ -1002,7 +997,6 @@ def serve(
                     "queue_cap": queue_cap,
                     "policy": policy,
                     "deadline_ms": deadline_ms,
-                    "transport": transport if backend == "process" else "",
                 },
             )
         gateway = StreamGateway(
@@ -1012,14 +1006,12 @@ def serve(
             queue_cap=queue_cap,
             policy=policy,
             deadline_ms=deadline_ms,
-            transport=transport,
             micro_batch=micro_batch,
             autoscale=autoscale,
             autoscale_policy=autoscale_policy,
         )
         try:
             async with gateway:
-                used_transport = gateway.transport_name
                 front = (
                     gateway if recorder is None else recorder.attach(gateway)
                 )
@@ -1043,7 +1035,7 @@ def serve(
             deadline_ms=deadline_ms,
             engine=engine,
             metrics=gateway.metrics.to_dict(),
-            transport=used_transport,
+            transport=gateway.transport_name,
         )
 
     return asyncio.run(_main())
@@ -1136,14 +1128,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="executor backend (default: process)",
     )
     parser.add_argument(
-        "--transport", default="shm", choices=TRANSPORTS,
-        help=(
-            "envelope transport of the process backend: shm (shared-memory "
-            "slots, auto-degrading to pickle where unavailable) or pickle "
-            "(default: shm)"
-        ),
-    )
-    parser.add_argument(
         "--micro-batch", type=int, default=1, metavar="K",
         help=(
             "coalesce up to K queued requests into one executor hop, "
@@ -1224,7 +1208,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         queue_cap=args.queue_cap,
         policy=args.policy,
         deadline_ms=args.deadline_ms,
-        transport=args.transport,
         micro_batch=args.micro_batch,
         autoscale=args.autoscale,
         warmup=not args.no_warmup,

@@ -1,4 +1,4 @@
-"""Zero-copy columnar IPC for the batch and stream backends.
+"""Zero-copy columnar IPC for the gateway's process pool.
 
 The executor boundary used to move one pickle per object: each
 :class:`~repro.core.engine.RunRequest` pickled into the ``submit()`` call,
@@ -12,7 +12,8 @@ either through a :mod:`multiprocessing.shared_memory` slot
 (:class:`ShmTransport` — the worker reads the bytes in place, no pickle at
 all for the payload) or as a single ``bytes`` argument
 (:class:`PickleTransport` — one opaque byte-string pickle instead of N
-object pickles).
+object pickles).  :func:`make_transport` always asks for shared memory;
+pickle bytes are only ever a fallback, never a choice.
 
 Wire format (``MAGIC = b"RENV"``)::
 
@@ -86,7 +87,6 @@ __all__ = [
     "PickleTransport",
     "ShmTransport",
     "make_transport",
-    "TRANSPORTS",
     "AutoscalePolicy",
 ]
 
@@ -94,8 +94,6 @@ MAGIC = b"RENV"
 ENVELOPE_VERSION = 1
 _KIND_REQUESTS = 0
 _KIND_SUMMARIES = 1
-
-TRANSPORTS = ("shm", "pickle")
 
 
 # -- envelope codec ----------------------------------------------------------
@@ -375,10 +373,11 @@ class ShmArena:
 
 # -- worker-side entry points ------------------------------------------------
 #
-# These run inside pool workers.  They import the executor lazily (batch.py
-# imports this module at top level; the worker resolves the function once
-# and caches it) and keep a bounded cache of attached segments so repeated
-# envelopes through the same slot skip the attach syscall.
+# These run inside pool workers.  They import the executor lazily (the
+# service modules import this one at top level; the worker resolves the
+# function once and caches it) and keep a bounded cache of attached
+# segments so repeated envelopes through the same slot skip the attach
+# syscall.
 
 _execute_request: Optional[Callable[[RunRequest], RunSummary]] = None
 
@@ -557,7 +556,6 @@ class ShmTransport:
 
     def __init__(self, slots: int = 8, slot_bytes: int = 1 << 20) -> None:
         self._arena = ShmArena(slots=slots, slot_bytes=slot_bytes)
-        self._pickle = PickleTransport()
 
     def dispatch(self, pool, requests: Sequence[RunRequest]) -> PendingEnvelope:
         blob = encode_requests(requests)
@@ -567,31 +565,29 @@ class ShmTransport:
                 pool.submit(_run_envelope_bytes, blob), requests
             )
         slot.write_request(blob)
-        future = pool.submit(
-            _run_envelope_shm, slot.name, len(blob), slot.result_offset,
-            slot.result_capacity,
-        )
+        try:
+            future = pool.submit(
+                _run_envelope_shm, slot.name, len(blob), slot.result_offset,
+                slot.result_capacity,
+            )
+        except BaseException:
+            # A refused submit (e.g. a pool that broke while idle) ran
+            # nothing: the slot goes straight back to the arena.
+            self._arena.release(slot)
+            raise
         return PendingEnvelope(future, requests, slot, self._arena)
 
     def close(self) -> None:
         self._arena.close()
 
 
-def make_transport(
-    name: str = "shm", *, slots: int = 8, slot_bytes: int = 1 << 20
-):
-    """Build the named transport, degrading ``shm`` to ``pickle`` if the
-    host can't create shared memory (some sandboxes mount no ``/dev/shm``).
+def make_transport(*, slots: int = 8, slot_bytes: int = 1 << 20):
+    """Build the shm transport, degrading to ``pickle`` if the host can't
+    create shared memory (some sandboxes mount no ``/dev/shm``).
 
-    The returned transport's ``fallback_reason`` records why a requested
-    ``shm`` transport came back as ``pickle`` (empty otherwise).
+    The returned transport's ``fallback_reason`` records why it came back
+    as ``pickle`` (empty otherwise).
     """
-    if name not in TRANSPORTS:
-        raise ValueError(
-            f"unknown transport {name!r} (choose from {', '.join(TRANSPORTS)})"
-        )
-    if name == "pickle":
-        return PickleTransport()
     try:
         return ShmTransport(slots=slots, slot_bytes=slot_bytes)
     except (OSError, ValueError) as exc:

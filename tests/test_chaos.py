@@ -7,6 +7,9 @@ digests over surviving runs stay byte-identical to a sequential
 re-execution.
 """
 
+import asyncio
+import os
+import signal
 import time
 
 import pytest
@@ -19,15 +22,16 @@ from repro.service import (
     BatchService,
     ChaosFault,
     ChaosPlan,
+    StreamGateway,
     apply_fault,
     build_chaos_plan,
     inject,
     requests_from_scenarios,
     run_chaos,
     serve,
+    structural_warmup,
 )
 from repro.service.chaos import main as chaos_main
-from repro.service.stream import structural_warmup
 from repro.service.transport import ShmArena
 
 SMALL_SIZES = dict(
@@ -83,9 +87,10 @@ def test_warmup_passes_skip_chaos_requests():
     """Warmup/prefetch execute in the parent process — a chaos:kill there
     would take down the gateway itself, so armed requests never warm."""
     requests = [inject(r, "poison") for r in _requests(4)]
-    assert structural_warmup(requests) == []
-    service = BatchService(workers=2)
-    assert service._prefetch_indices(requests) == []
+    assert structural_warmup(requests) == {}
+    report = BatchService(workers=2).run_batch(requests)
+    assert report.prefetch_runs == 0
+    assert all(s.status == STATUS_FAILED for s in report.summaries)
 
 
 # -- containment in the gateway ----------------------------------------------
@@ -129,7 +134,7 @@ def test_pool_death_mid_batch_reports_judged_summaries():
     assert not report.ok
     killed = report.summaries[4]
     assert killed.status == STATUS_FAILED and not killed.resolved
-    assert "pool died mid-batch" in killed.error
+    assert "executor failure: BrokenProcessPool" in killed.error
     assert report.pool_replacements >= 1
     assert report.unresolved  # the dead chunk(s)
     resolved = [s for s in report.summaries if s.resolved]
@@ -207,11 +212,81 @@ def test_worker_kill_leaks_no_shm_segments():
     before = set(ShmArena.live_segments())
     requests = _requests(8, seed0=31)
     requests[2] = inject(requests[2], "kill")
-    service = BatchService(workers=2, warmup=False, chunk=2, transport="shm")
+    service = BatchService(workers=2, warmup=False, chunk=2)
     report = service.run_batch(requests)
     assert report.pool_replacements >= 1  # the kill actually landed
     after = set(ShmArena.live_segments())
     assert after <= before, f"leaked shm segments: {sorted(after - before)}"
+
+
+# -- one recovery policy: hops on a dead pool fail, one replacement ----------
+
+
+def test_single_kill_request_batch_counts_its_replacement():
+    """The batch's last (here: only) hop kills the pool.  The replacement
+    is still made and counted before the batch returns."""
+    (req,) = _requests(1, seed0=41)
+    report = BatchService(workers=2).run_batch([inject(req, "kill")])
+    (killed,) = report.summaries
+    assert killed.status == STATUS_FAILED and not killed.resolved
+    assert report.pool_replacements == 1
+
+
+def test_mid_batch_kill_replaces_pool_exactly_once():
+    """One kill in a 40-request batch of one-request hops: the batch
+    returns instead of raising, the dead pool is replaced once, only the
+    hops in flight on it fail (at most one per worker), and the resolved
+    runs match a sequential re-run."""
+    workers = 2
+    requests = _requests(40, seed0=61)
+    requests[17] = inject(requests[17], "kill")
+    report = BatchService(workers=workers, warmup=False, chunk=1).run_batch(
+        requests
+    )
+    assert len(report.summaries) == len(requests)
+    assert report.summaries[17].status == STATUS_FAILED
+    assert report.pool_replacements == 1
+    assert 1 <= len(report.unresolved) <= workers
+    resolved = [s for s in report.summaries if s.resolved]
+    baseline = BatchService(workers=0).run_batch(
+        [s.request for s in resolved]
+    )
+    assert baseline.ok
+    assert baseline.batch_digest() == report.batch_digest()
+
+
+def test_idle_worker_death_is_replaced_at_submit():
+    """A pool whose only worker died while idle refuses the next submit
+    with ``BrokenExecutor``.  Nothing ran, so the gateway replaces the
+    pool and puts the hop on the new one; the refused hop's shm slot goes
+    back to the arena."""
+    requests = _requests(6, seed0=81)
+
+    async def main():
+        gateway = StreamGateway(workers=1, backend="process", policy="block")
+        async with gateway:
+            first = await (await gateway.submit(requests[0]))
+            pool = gateway._pool
+            (pid,) = pool._processes
+            os.kill(pid, signal.SIGKILL)
+            give_up = time.monotonic() + 30
+            while not pool._broken and time.monotonic() < give_up:
+                await asyncio.sleep(0.01)
+            assert pool._broken, "the pool never noticed its dead worker"
+            futures = [await gateway.submit(r) for r in requests[1:]]
+            rest = [await f for f in futures]
+            in_use = sum(
+                slot.in_use for slot in gateway._transport._arena._slots
+            )
+        return first, rest, in_use, gateway.metrics.pool_replacements
+
+    first, rest, in_use, replacements = asyncio.run(
+        asyncio.wait_for(main(), timeout=120)
+    )
+    assert first.status == STATUS_COMPLETED
+    assert [s.status for s in rest] == [STATUS_COMPLETED] * 5
+    assert replacements == 1
+    assert in_use == 0
 
 
 # -- CLI ----------------------------------------------------------------------

@@ -1,14 +1,16 @@
-"""The batch-execution service: backends agree with each other and with
-direct engine execution, envelopes are picklable, the CLI smoke-tests.
+"""The batch-execution service: the in-process and pooled paths agree with
+each other and with direct engine execution, envelopes are picklable, the
+CLI smoke-tests.
 
-The heavyweight differential here is the ISSUE 3 satellite: a >= 256
-instance mixed batch must produce byte-identical output digests and
-per-run statistics across the sequential backend, the process-pool
-backend, and plain ``engine.execute`` runs.
+The heavyweight differential: a >= 256 instance mixed batch must produce
+byte-identical output digests and per-run statistics in-process, on the
+pooled path (a process-backed stream gateway), and through plain
+``engine.execute`` runs.
 """
 
 import json
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +20,6 @@ from repro.scenarios.generators import DEFAULT_MIX
 from repro.scenarios.runner import ALGORITHMS, default_algorithm
 from repro.service import (
     BatchService,
-    ProcessPoolBackend,
     execute_request,
     requests_from_scenarios,
 )
@@ -109,6 +110,18 @@ def test_streaming_order_matches_request_order():
     assert all(s.request == req for req, s in streamed)
 
 
+def test_pooled_batch_ignores_request_deadlines():
+    """A batch is judged on completion: a request's ``deadline_ms`` is
+    ignored on the pooled path as it is in-process, and every summary
+    carries the request as submitted."""
+    requests = [replace(r, deadline_ms=0.001) for r in _requests(6)]
+    report = BatchService(workers=2, warmup=False).run_batch(requests)
+    assert report.ok, report.failures
+    assert [s.request for s in report.summaries] == requests
+    baseline = BatchService(workers=0).run_batch(requests)
+    assert report.batch_digest() == baseline.batch_digest()
+
+
 def test_sequential_backend_is_deterministic_across_runs():
     requests = _requests(12)
     a = BatchService(workers=0).run_batch(requests)
@@ -167,11 +180,6 @@ def test_prefetch_pass_is_capped():
     assert report.prefetch_runs == 2
     baseline = BatchService(workers=0).run_batch(requests)
     assert report.batch_digest() == baseline.batch_digest()
-
-
-def test_process_pool_backend_rejects_zero_workers():
-    with pytest.raises(ValueError):
-        ProcessPoolBackend(0)
 
 
 # -- workload mix feed -------------------------------------------------------

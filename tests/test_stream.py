@@ -24,10 +24,11 @@ from repro.service import (
     StreamGateway,
     requests_from_scenarios,
     serve,
+    structural_warmup,
     summaries_digest,
 )
 from repro.service.stream import main as stream_main
-from repro.service.stream import replay, structural_warmup
+from repro.service.stream import replay
 
 SMALL_SIZES = dict(
     routing_sizes=(16,), sorting_sizes=(16,), multiplex_sizes=(16,)
@@ -433,7 +434,9 @@ def test_replay_paces_arrivals():
 
 def test_structural_warmup_dedupes_and_caps():
     requests = _requests(12)
-    warmed = structural_warmup(requests, max_runs=3)
+    picks = structural_warmup(requests, max_runs=3)
+    assert all(requests[i] == s.request for i, s in picks.items())
+    warmed = list(picks.values())
     assert len(warmed) == 3
     assert all(s.ok for s in warmed)
     groups = {

@@ -1,12 +1,11 @@
 """Zero-copy transport: envelope codec properties, shm arena, autoscaler.
 
-The ISSUE 7 satellites in test form: a hypothesis property suite over the
-columnar envelope round trip (chaos tags, unset deadlines, failed and
-digestless summaries included), digest parity between the shm transport,
-the pickle transport and the in-process sequential backend on a
-256-instance mixed batch, the slot-arena lifecycle, the pure autoscaler
-decision rule, the PlanCache snapshot pickled-once regression, and
-capture parity across transports.
+A hypothesis property suite over the columnar envelope round trip (chaos
+tags, unset deadlines, failed and digestless summaries included), digest
+parity between the shm transport, its forced pickle fallback and the
+in-process path on a 256-instance mixed batch, the slot-arena lifecycle,
+the pure autoscaler decision rule, the PlanCache snapshot pickled-once
+regression, and capture parity across transports.
 """
 
 import pytest
@@ -21,8 +20,14 @@ from repro.core.engine import (
     STATUS_REJECTED,
 )
 from repro.scenarios import mixed_batch
-from repro.service import BatchService, inject, requests_from_scenarios
-from repro.service import batch as batch_mod
+from repro.service import (
+    BatchService,
+    execute_request,
+    inject,
+    requests_from_scenarios,
+)
+from repro.service import stream as stream_mod
+from repro.service import transport as transport_mod
 from repro.service.recording import Recorder, load_capture
 from repro.service.transport import (
     AutoscalePolicy,
@@ -44,6 +49,11 @@ def _requests(batch, engine="fast", seed0=400):
     return requests_from_scenarios(
         mixed_batch(batch, seed0=seed0, **SMALL_SIZES), engine=engine
     )
+
+
+def _refuse_shared_memory(*args, **kwargs):
+    """Stand-in arena constructor for a host that cannot create shm."""
+    raise OSError("shared memory disabled for this test")
 
 
 # -- codec property suite -----------------------------------------------------
@@ -130,7 +140,7 @@ def test_codec_rejects_malformed_envelopes():
         decode_requests(b"XXXX" + bytes(buf[4:]))
     with pytest.raises(ValueError, match="kind"):
         decode_summaries(buf, requests)
-    summaries = [batch_mod.execute_request(r) for r in requests]
+    summaries = [execute_request(r) for r in requests]
     with pytest.raises(ValueError, match="2 rows"):
         decode_summaries(encode_summaries(summaries), requests[:1])
 
@@ -154,22 +164,26 @@ def test_failed_digestless_summaries_round_trip():
 # -- transport digest parity (the acceptance batch) ---------------------------
 
 
-def test_shm_pickle_and_inprocess_digests_match_on_256_mixed():
+def test_shm_pickle_and_inprocess_digests_match_on_256_mixed(monkeypatch):
     """The headline parity gate: the same 256-instance mixed batch must
-    produce byte-identical digests through the shm transport, the pickle
-    transport and the in-process sequential backend."""
+    produce byte-identical digests through the shm transport, through the
+    pickle fallback the pool takes when shared memory cannot be created,
+    and in-process."""
     requests = _requests(256, seed0=0)
     sequential = BatchService(workers=0).run_batch(requests)
     assert sequential.ok
 
     reports = {}
     for transport in ("shm", "pickle"):
-        report = BatchService(
-            workers=2, warmup=False, transport=transport
-        ).run_batch(requests)
+        with monkeypatch.context() as m:
+            if transport == "pickle":
+                m.setattr(transport_mod, "ShmArena", _refuse_shared_memory)
+            report = BatchService(workers=2, warmup=False).run_batch(requests)
         assert report.ok, report.failures[:3]
         assert report.transport == transport
         reports[transport] = report
+    assert reports["shm"].fallback_reason == ""
+    assert "shared memory unavailable" in reports["pickle"].fallback_reason
 
     assert (
         reports["shm"].batch_digest()
@@ -209,19 +223,19 @@ def test_arena_slot_lifecycle_and_leak_accounting():
     arena.close()  # close is idempotent
 
 
-def test_make_transport_names_and_validation():
-    shm = make_transport("shm", slots=2, slot_bytes=4096)
+def test_make_transport_names_and_validation(monkeypatch):
+    shm = make_transport(slots=2, slot_bytes=4096)
     try:
         assert shm.name in ("shm", "pickle")  # pickle iff shm unavailable
         if shm.name == "pickle":
             assert "shared memory unavailable" in shm.fallback_reason
     finally:
         shm.close()
-    pkl = make_transport("pickle")
+    monkeypatch.setattr(transport_mod, "ShmArena", _refuse_shared_memory)
+    pkl = make_transport(slots=2, slot_bytes=4096)
     assert isinstance(pkl, PickleTransport)
+    assert "shared memory disabled" in pkl.fallback_reason
     pkl.close()
-    with pytest.raises(ValueError, match="unknown transport"):
-        make_transport("carrier-pigeon")
 
 
 # -- autoscaler policy --------------------------------------------------------
@@ -283,13 +297,13 @@ def test_plan_snapshot_pickled_once_across_pool_respawns(monkeypatch):
     """Regression: the warm-plan snapshot used to be re-pickled for every
     pool (re)build; two mid-batch worker kills now reuse the one blob."""
     calls = []
-    real = batch_mod._pickle_plans
+    real = stream_mod._pickle_plans
 
     def counting(plans):
         calls.append(len(plans))
         return real(plans)
 
-    monkeypatch.setattr(batch_mod, "_pickle_plans", counting)
+    monkeypatch.setattr(stream_mod, "_pickle_plans", counting)
     requests = _requests(10, seed0=70)
     requests[1] = inject(requests[1], "kill")
     requests[9] = inject(requests[9], "kill")
@@ -306,21 +320,30 @@ def test_plan_snapshot_pickled_once_across_pool_respawns(monkeypatch):
 # -- capture parity across transports -----------------------------------------
 
 
-def test_captures_identical_across_transports(tmp_path):
+def test_captures_identical_across_transports(tmp_path, monkeypatch):
+    """Captures of the same batch in-process, over shm and over the
+    forced pickle fallback are identical."""
     requests = _requests(8, seed0=55)
     captures = {}
-    for transport in ("shm", "pickle"):
-        path = str(tmp_path / f"capture-{transport}.jsonl")
-        service = BatchService(workers=2, warmup=False, transport=transport)
-        with Recorder(path, meta={"transport": transport}) as recorder:
-            report = recorder.record_batch(service, requests)
+    for transport, workers in (("", 0), ("shm", 2), ("pickle", 2)):
+        path = str(tmp_path / f"capture-{transport or 'inprocess'}.jsonl")
+        service = BatchService(workers=workers, warmup=False)
+        with monkeypatch.context() as m:
+            if transport == "pickle":
+                m.setattr(transport_mod, "ShmArena", _refuse_shared_memory)
+            with Recorder(path, meta={"transport": transport}) as recorder:
+                report = recorder.record_batch(service, requests)
         assert report.ok
+        assert report.transport == transport
+        assert bool(report.fallback_reason) == (transport == "pickle")
         captures[transport] = load_capture(path)
 
-    shm, pkl = captures["shm"], captures["pickle"]
-    assert shm.requests == pkl.requests == requests
-    assert shm.statuses() == pkl.statuses()
-    assert shm.capture_digest() == pkl.capture_digest()
-    assert [s.digest for s in shm.resolved_summaries()] == [
-        s.digest for s in pkl.resolved_summaries()
-    ]
+    seq, shm, pkl = captures[""], captures["shm"], captures["pickle"]
+    assert seq.requests == shm.requests == pkl.requests == requests
+    assert seq.statuses() == shm.statuses() == pkl.statuses()
+    assert seq.capture_digest() == shm.capture_digest() == pkl.capture_digest()
+    assert (
+        [s.digest for s in seq.resolved_summaries()]
+        == [s.digest for s in shm.resolved_summaries()]
+        == [s.digest for s in pkl.resolved_summaries()]
+    )
