@@ -443,10 +443,11 @@ def bursty_arrivals(
 
     Within a burst, requests arrive back to back at ``rate`` per second;
     between bursts the stream goes quiet for ``idle_s`` seconds (jittered
-    ±25% so gaps are not phase-locked with any poller).  This is the
-    autoscaler's native workload: queue depth spikes during a burst
-    (scale-up trigger) and drains to zero in the gap (scale-down
-    trigger).  Deterministic in ``(rate, count, burst, idle_s, seed)``.
+    ±25% so gaps are not phase-locked with any poller).  Queue depth
+    spikes during a burst and drains to zero in the gap, so a gateway
+    fed this stream must coalesce, drain and go idle again without
+    stranding a request.  Deterministic in
+    ``(rate, count, burst, idle_s, seed)``.
     """
     if rate <= 0:
         raise ValueError(f"bursty arrivals need rate > 0, got {rate}")

@@ -22,13 +22,14 @@ Two operational companions ride on the same envelopes:
 
 * :mod:`repro.service.recording` — append-only versioned traffic
   captures (every request/summary plus arrival offsets) and
-  deterministic replay: trace-driven load tests, forensics.
+  deterministic replay through a live gateway: trace-driven load tests,
+  forensics.
 * :mod:`repro.service.chaos` — fault injection (worker kills, poison
   requests, stragglers) against live gateways, gated on recovery,
   digest correctness, and bounded p99.
 * :mod:`repro.service.transport` — the zero-copy request/result path
   of the gateway's process pool: columnar envelope codec, shared-memory
-  slot arena with automatic pickle fallback, and the autoscaler policy.
+  slot arena with automatic pickle fallback.
 * :mod:`repro.service.net` — the networked front end: a versioned
   length-prefixed binary protocol over TCP whose payloads are the
   transport's columnar envelopes; asyncio server fronting the stream
@@ -78,7 +79,6 @@ _RECORDING_EXPORTS = (
     "CaptureError",
     "CaptureWriter",
     "Recorder",
-    "ReplayingBackend",
     "load_capture",
     "replay_capture",
 )
@@ -102,7 +102,6 @@ _NET_EXPORTS = (
 )
 
 _TRANSPORT_EXPORTS = (
-    "AutoscalePolicy",
     "PendingEnvelope",
     "PickleTransport",
     "ShmArena",

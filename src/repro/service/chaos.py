@@ -43,9 +43,7 @@ This module's faults live at the *request* level.  The wire-level
 counterpart — latency, jitter, rate caps, mid-frame disconnects,
 blackholes and byte corruption against the RPC byte stream — is
 :mod:`repro.service.net.faultproxy`, which shares this module's typed
-:class:`ChaosFault` for malformed fault specs;
-:func:`parse_wire_faults` bridges the two vocabularies without
-importing the network stack until it is actually asked for.
+:class:`ChaosFault` for malformed fault specs.
 
 Command line::
 
@@ -83,7 +81,6 @@ __all__ = [
     "apply_fault",
     "build_chaos_plan",
     "inject",
-    "parse_wire_faults",
     "run_chaos",
 ]
 
@@ -95,21 +92,6 @@ class ChaosFault(RuntimeError):
 def inject(req: RunRequest, fault: str) -> RunRequest:
     """Arm ``req`` with a chaos fault (``poison``/``kill``/``slow:<ms>``)."""
     return replace(req, tag=f"{CHAOS_TAG_PREFIX}{fault}")
-
-
-def parse_wire_faults(specs: List[str]) -> List[Any]:
-    """Parse wire-level fault ("toxic") specs for the fault proxy.
-
-    The byte-stream side of the chaos vocabulary: ``latency:20``,
-    ``corrupt:0.01``, ``disconnect:65536``, ... (see
-    :mod:`repro.service.net.faultproxy` for the grammar).  Malformed
-    specs raise :class:`ChaosFault`, same as an unknown request-level
-    fault.  The network stack is imported lazily — a chaos run that
-    never touches the wire never loads it.
-    """
-    from .net.faultproxy import parse_toxic
-
-    return [parse_toxic(spec) for spec in specs]
 
 
 def apply_fault(tag: str) -> None:

@@ -67,14 +67,6 @@ def _add_gateway_args(parser: argparse.ArgumentParser) -> None:
         help="per-request deadline (default none)",
     )
     parser.add_argument(
-        "--micro-batch", type=int, default=1, metavar="N",
-        help="gateway micro-batch size (default 1)",
-    )
-    parser.add_argument(
-        "--autoscale", action="store_true",
-        help="enable the gateway autoscaler",
-    )
-    parser.add_argument(
         "--quota", type=int, default=DEFAULT_SESSION_QUOTA, metavar="N",
         help=f"per-session queue quota (default {DEFAULT_SESSION_QUOTA})",
     )
@@ -137,8 +129,6 @@ def _server_kwargs(args: argparse.Namespace) -> dict:
         queue_cap=args.queue_cap,
         policy=args.policy,
         deadline_ms=args.deadline_ms,
-        micro_batch=args.micro_batch,
-        autoscale=args.autoscale,
         session_quota=args.quota,
         max_frame=args.max_frame,
     )

@@ -3,12 +3,12 @@
 The server owns exactly one gateway and speaks the `RN` frame protocol
 (:mod:`repro.service.net.framing`, spec in ``docs/PROTOCOL.md``) to any
 number of concurrent clients.  Everything the gateway already does —
-backpressure, deadlines, micro-batching, autoscaling, chaos tags,
-recording — works unchanged over the socket, because the server is a
-thin adapter: SUBMIT frames decode to the same `RENV` request envelopes
-the in-process path uses, every request goes through
-``gateway.submit()``, and summaries travel back as columnar SUMMARY
-frames.  The layer adds only what a *network* front end needs:
+backpressure, deadlines, chaos tags, recording — works unchanged over
+the socket, because the server is a thin adapter: SUBMIT frames decode
+to the same `RENV` request envelopes the in-process path uses, every
+request goes through ``gateway.submit()``, and summaries travel back as
+columnar SUMMARY frames.  The layer adds only what a *network* front
+end needs:
 
 * a HELLO → NEGOTIATE → ACCEPT handshake pinning the one wire dialect
   (:mod:`repro.service.net.protocol`);
@@ -165,10 +165,11 @@ class NetServer:
     """TCP front end for a :class:`StreamGateway` (see module docstring).
 
     Gateway-shaping keyword arguments (``workers``, ``engine``,
-    ``backend``, ``queue_cap``, ``policy``, ``deadline_ms``,
-    ``micro_batch``, ``micro_batch_ms``, ``autoscale``)
-    are passed through to the owned gateway verbatim; ``session_quota``
-    and ``max_frame`` are the network layer's own knobs.
+    ``backend``, ``queue_cap``, ``policy``, ``deadline_ms``) are passed
+    through to the owned gateway verbatim; the gateway dispatches one
+    request per executor hop.  ``session_quota``, ``max_frame``,
+    ``idempotency_keys`` and ``retry_after_ms`` are the network layer's
+    own knobs.
 
     Lifecycle mirrors the gateway: ``await start()``, serve, ``await
     close()``.  ``port=0`` binds an ephemeral port; read ``.port`` after
@@ -186,13 +187,9 @@ class NetServer:
         queue_cap: int = 64,
         policy: str = "reject",
         deadline_ms: Optional[float] = None,
-        micro_batch: int = 1,
-        micro_batch_ms: float = 2.0,
-        autoscale: bool = False,
         session_quota: int = DEFAULT_SESSION_QUOTA,
         max_frame: int = MAX_FRAME_BYTES,
         idempotency_keys: int = DEFAULT_IDEMPOTENCY_KEYS,
-        max_lineages: int = DEFAULT_MAX_LINEAGES,
         retry_after_ms: float = DEFAULT_RETRY_AFTER_MS,
     ) -> None:
         if session_quota < 1:
@@ -201,8 +198,6 @@ class NetServer:
             raise ValueError("max_frame must be >= 1024")
         if idempotency_keys < 1:
             raise ValueError("idempotency_keys must be >= 1")
-        if max_lineages < 1:
-            raise ValueError("max_lineages must be >= 1")
         if retry_after_ms <= 0:
             raise ValueError("retry_after_ms must be > 0")
         self._requested_host = host
@@ -210,7 +205,6 @@ class NetServer:
         self.session_quota = int(session_quota)
         self.max_frame = int(max_frame)
         self.idempotency_keys = int(idempotency_keys)
-        self.max_lineages = int(max_lineages)
         self.retry_after_ms = float(retry_after_ms)
         self.gateway = StreamGateway(
             workers=workers,
@@ -219,9 +213,6 @@ class NetServer:
             queue_cap=queue_cap,
             policy=policy,
             deadline_ms=deadline_ms,
-            micro_batch=micro_batch,
-            micro_batch_ms=micro_batch_ms,
-            autoscale=autoscale,
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._sessions: Dict[int, _Session] = {}
@@ -626,7 +617,7 @@ class NetServer:
         if lineage is None:
             lineage = _Lineage(id=lineage_id, cap=self.idempotency_keys)
             self._lineages[lineage_id] = lineage
-            while len(self._lineages) > self.max_lineages:
+            while len(self._lineages) > DEFAULT_MAX_LINEAGES:
                 self._lineages.popitem(last=False)
         else:
             self._lineages.move_to_end(lineage_id)

@@ -7,8 +7,8 @@ service or the streaming gateway — plus the observed arrival offsets —
 into a versioned, append-only capture file, and replays a capture
 deterministically afterwards (same arrivals, same engine choices,
 byte-identical digests).  Modeled on the recording/replaying-client
-pattern from acconeer's exploration tool: versioned capture files, a
-replaying backend indistinguishable from the live one.
+pattern from acconeer's exploration tool: versioned capture files
+replayed through the live service.
 
 Capture format (``repro-capture`` v1)
 -------------------------------------
@@ -36,9 +36,10 @@ Replay
 
 :func:`replay_capture` re-feeds the recorded requests through a live
 :func:`~repro.service.stream.serve` run at the recorded arrival offsets
-and compares digests; :class:`ReplayingBackend` instead answers requests
-with the *recorded* summaries — a stand-in executor for tests and
-forensics that must not re-run anything.
+and compares digests.  A stream capture replays under the gateway shape
+its header recorded; a batch capture names none (a batch never sheds
+load), so it replays under the ``block`` policy with a queue that holds
+the whole capture.
 
 Command line::
 
@@ -59,7 +60,6 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import (
     Any,
     Dict,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -78,7 +78,6 @@ __all__ = [
     "CaptureError",
     "CaptureWriter",
     "Recorder",
-    "ReplayingBackend",
     "load_capture",
     "replay_capture",
 ]
@@ -457,47 +456,6 @@ class _RecordingGateway:
 # -- replay -------------------------------------------------------------------
 
 
-class ReplayingBackend:
-    """Stand-in executor that serves *recorded* summaries verbatim.
-
-    ``execute(requests)`` yields, in request order, the recorded summary
-    whose envelope matches each request; nothing ever runs.
-    Deterministic by construction — replaying twice yields byte-identical
-    digests — for tests and forensics that must not depend on engine
-    execution.
-    """
-
-    name = "replaying"
-
-    def __init__(self, capture: Capture) -> None:
-        self.capture = capture
-        self._by_envelope: Dict[Tuple, List[RunSummary]] = {}
-        for seq, _, req in capture.events:
-            if seq in capture.summaries:
-                self._by_envelope.setdefault(self._key(req), []).append(
-                    capture.summaries[seq]
-                )
-
-    @staticmethod
-    def _key(req: RunRequest) -> Tuple:
-        return (req.kind, req.family, req.n, req.seed, req.algorithm, req.tag)
-
-    def execute(
-        self, requests: Sequence[RunRequest]
-    ) -> Iterator[RunSummary]:
-        for req in requests:
-            bucket = self._by_envelope.get(self._key(req))
-            if not bucket:
-                raise CaptureError(
-                    f"capture has no recorded summary for {req.name} "
-                    f"(tag={req.tag!r})"
-                )
-            yield bucket.pop(0)
-
-    def close(self) -> None:
-        pass
-
-
 @dataclass
 class ReplayReport:
     """Outcome of re-feeding a capture through a live gateway."""
@@ -546,10 +504,12 @@ def replay_capture(
     The recorded requests are submitted at their recorded arrival offsets
     (scaled by ``timescale``; ``0`` collapses the timeline into a
     saturated replay) with their recorded engine choices.  Gateway shape
-    defaults to what the capture's header recorded.  The report compares
-    the digest over the replay's completed runs against the capture's own
-    digest over resolved recorded runs — byte equality is the
-    determinism gate.
+    defaults to what the capture's header recorded; a header that records
+    none (a batch capture) replays under ``block`` with room for every
+    request, so the replay sheds nothing the recording did not.  The
+    report compares the digest over the replay's completed runs against
+    the capture's own digest over resolved recorded runs — byte equality
+    is the determinism gate.
     """
     from .stream import serve
 
@@ -560,8 +520,10 @@ def replay_capture(
         workers=workers,
         engine=engine or str(meta.get("engine", "fast")),
         backend=backend,
-        queue_cap=int(queue_cap or meta.get("queue_cap", 64)),
-        policy=str(policy or meta.get("policy", "reject")),
+        queue_cap=int(
+            queue_cap or meta.get("queue_cap", max(1, len(capture.requests)))
+        ),
+        policy=str(policy or meta.get("policy", "block")),
         deadline_ms=None,  # deadlines depend on wall clock, not the trace
         warmup=warmup,
     )

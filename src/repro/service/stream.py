@@ -53,14 +53,13 @@ Architecture::
   pool that broke while idle refuses the next submit; nothing ran, so the
   gateway replaces the pool and submits that hop once more.
 * **Micro-batching.**  Dispatchers can coalesce up to K queued requests
-  (or wait T ms for batch-mates, whichever first; K adapts to observed
-  queue depth) into one executor hop.  Off by default (K=1): coalescing
-  trades per-request deadline granularity for IPC amortization, so it is
-  an explicit opt-in for throughput-oriented streams.
-* **Autoscaling.**  With ``autoscale=True`` a sampler task feeds observed
-  queue depth to an :class:`~repro.service.transport.AutoscalePolicy` and
-  spawns or retires dispatcher tasks on sustained pressure; retirement
-  uses in-band sentinels so a dispatcher finishes its current work first.
+  (or wait a fixed 2 ms for batch-mates, whichever first; K adapts to
+  observed queue depth) into one executor hop.  Off by default (K=1):
+  coalescing trades per-request deadline granularity for IPC
+  amortization, so it is an explicit opt-in for throughput-oriented
+  streams.
+* **One dispatcher per worker.**  The gateway runs exactly ``workers``
+  dispatcher tasks over a pool of ``workers`` processes (or threads).
 
 Command line::
 
@@ -107,14 +106,13 @@ from .batch import (
     structural_warmup,
     summaries_digest,
 )
-from .transport import AutoscalePolicy, PendingEnvelope, make_transport
+from .transport import PendingEnvelope, make_transport
 
 __all__ = [
     "STATUS_CANCELLED",
     "STATUS_COMPLETED",
     "STATUS_FAILED",
     "STATUS_REJECTED",
-    "AutoscalePolicy",
     "StreamGateway",
     "StreamMetrics",
     "StreamReport",
@@ -125,9 +123,8 @@ __all__ = [
 BACKENDS = ("process", "thread")
 POLICIES = ("reject", "block")
 
-#: In-band scale-down sentinel: a dispatcher that dequeues it finishes
-#: nothing further and exits, so retirement never abandons taken work.
-_RETIRE = object()
+#: How long a dispatcher holding a short micro-batch waits for batch-mates.
+_LINGER_S = 2e-3
 
 
 def _swallow_task_result(task: "asyncio.Future[object]") -> None:
@@ -185,9 +182,6 @@ class StreamMetrics:
         self.failed = 0
         #: executor pools rebuilt after breakage (chaos recovery gate).
         self.pool_replacements = 0
-        #: autoscaler decisions (dispatcher tasks spawned / retired).
-        self.scale_ups = 0
-        self.scale_downs = 0
         self.queue_depth_max = 0
         self._depth_sum = 0
         self._depth_samples = 0
@@ -234,8 +228,6 @@ class StreamMetrics:
             "cancelled": self.cancelled,
             "failed": self.failed,
             "pool_replacements": self.pool_replacements,
-            "scale_ups": self.scale_ups,
-            "scale_downs": self.scale_downs,
             "queue_depth_max": self.queue_depth_max,
             "queue_depth_mean": round(self.queue_depth_mean, 2),
             "latency": self.latency.summary(),
@@ -258,8 +250,8 @@ class StreamGateway:
     """Long-lived asyncio front end over a warm executor pool.
 
     Args:
-        workers: concurrent in-flight executions (async worker tasks, and
-            the executor pool size).
+        workers: concurrent in-flight executions (async dispatcher tasks,
+            and the executor pool size).
         engine: default engine name stamped on requests with
             ``engine=None``.
         backend: ``"process"`` (a ``ProcessPoolExecutor`` with plan-cache
@@ -276,14 +268,6 @@ class StreamGateway:
             being enforceable, so it is opt-in.  When ``> 1`` the actual
             batch adapts to queue depth (never waiting for load that is
             not there).
-        micro_batch_ms: with ``micro_batch > 1``, how long a dispatcher
-            holding a short batch waits for batch-mates before going.
-        autoscale: spawn/retire dispatcher tasks on sustained queue-depth
-            pressure (see :class:`~repro.service.transport.AutoscalePolicy`).
-            The pool is sized for the policy maximum; dispatchers start at
-            the policy minimum.
-        autoscale_policy: override the default policy
-            (``min_workers=1, max_workers=workers``).
 
     Use as an async context manager, or call :meth:`start` / :meth:`close`.
     """
@@ -297,9 +281,6 @@ class StreamGateway:
         policy: str = "reject",
         deadline_ms: Optional[float] = None,
         micro_batch: int = 1,
-        micro_batch_ms: float = 2.0,
-        autoscale: bool = False,
-        autoscale_policy: Optional[AutoscalePolicy] = None,
     ) -> None:
         if engine not in available_engines():
             raise ValueError(
@@ -327,20 +308,14 @@ class StreamGateway:
         self.policy = policy
         self.deadline_ms = deadline_ms
         self.micro_batch = int(micro_batch)
-        self.micro_batch_ms = float(micro_batch_ms)
-        self.autoscale = autoscale
-        self._policy = autoscale_policy or AutoscalePolicy(
-            min_workers=1, max_workers=self.workers
-        )
         self.metrics = StreamMetrics()
-        self._queue: Optional["asyncio.Queue[object]"] = None
+        self._queue: Optional["asyncio.Queue[_Ticket]"] = None
         self._pool: Optional[Executor] = None
         self._transport = None
         self._warm_blob = b""
         #: plan-cache entries shipped to every process-backend worker.
         self.warmed_plans = 0
         self._tasks: List["asyncio.Task[None]"] = []
-        self._sampler: Optional["asyncio.Task[None]"] = None
         self._closed = False
 
     @property
@@ -370,7 +345,7 @@ class StreamGateway:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> "StreamGateway":
-        """Build the executor pool and spawn the worker tasks."""
+        """Build the executor pool and spawn ``workers`` dispatchers."""
         if self._pool is not None:
             raise RuntimeError("gateway already started")
         if self._closed:
@@ -390,25 +365,16 @@ class StreamGateway:
             )
         self._pool = self._build_pool()
         self._queue = asyncio.Queue(maxsize=self.queue_cap)
-        dispatchers = (
-            self._policy.workers if self.autoscale else self.workers
-        )
         self._tasks = [
             asyncio.create_task(self._worker(), name=f"stream-worker-{i}")
-            for i in range(dispatchers)
+            for i in range(self.workers)
         ]
-        if self.autoscale:
-            self._sampler = asyncio.create_task(
-                self._autoscale_sampler(), name="stream-autoscaler"
-            )
         return self
 
     def _build_pool(self) -> Executor:
         if self.backend == "process":
             # Warm every pool worker from the parent's plan-cache snapshot
             # (whatever structural_warmup / earlier runs left resident).
-            # Workers spawn lazily, so sizing the pool for the autoscale
-            # maximum costs nothing until dispatchers actually scale up.
             return ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_warm_worker_blob,
@@ -416,32 +382,6 @@ class StreamGateway:
             )
         # Threads share the process-wide plan cache; no shipping needed.
         return ThreadPoolExecutor(max_workers=self.workers)
-
-    async def _autoscale_sampler(self) -> None:
-        """Feed queue depth to the policy; apply its spawn/retire verdicts."""
-        assert self._queue is not None
-        while not self._closed:
-            await asyncio.sleep(0.02)
-            if self._closed or self._queue is None:
-                return
-            delta = self._policy.observe(
-                self._queue.qsize(), time.perf_counter()
-            )
-            if delta > 0:
-                self._tasks.append(asyncio.create_task(
-                    self._worker(),
-                    name=f"stream-worker-{len(self._tasks)}",
-                ))
-                self.metrics.scale_ups += 1
-            elif delta < 0:
-                try:
-                    self._queue.put_nowait(_RETIRE)
-                    self.metrics.scale_downs += 1
-                except asyncio.QueueFull:
-                    # No room to deliver the sentinel (the queue refilled
-                    # between sample and verdict) — the pressure reading
-                    # is stale, revoke the decision.
-                    self._policy.workers += 1
 
     def _replace_pool(self, broken: Executor) -> None:
         """Swap a broken executor pool for a fresh warm one.
@@ -486,11 +426,6 @@ class StreamGateway:
                 ticket = self._queue.get_nowait()
             except asyncio.QueueEmpty:
                 return
-            if ticket is _RETIRE:
-                # An undelivered scale-down sentinel is not a request;
-                # balance the join counter and move on.
-                self._queue.task_done()
-                continue
             summary = RunSummary(
                 request=ticket.request,
                 ok=False,
@@ -508,10 +443,6 @@ class StreamGateway:
         if self._closed:
             return
         self._closed = True
-        if self._sampler is not None:
-            self._sampler.cancel()
-            await asyncio.gather(self._sampler, return_exceptions=True)
-            self._sampler = None
         await self.drain()
         for task in self._tasks:
             task.cancel()
@@ -598,14 +529,9 @@ class StreamGateway:
         assert self._queue is not None
         queue = self._queue
         while True:
-            first = await queue.get()
-            if first is _RETIRE:
-                queue.task_done()
-                return
-            batch: List[_Ticket] = [first]
-            retire_after = False
+            batch = [await queue.get()]
             if self.micro_batch > 1:
-                retire_after = await self._coalesce(batch)
+                await self._coalesce(batch)
             try:
                 await self._dispatch_batch(batch)
             except Exception as exc:
@@ -627,10 +553,8 @@ class StreamGateway:
             finally:
                 for _ in batch:
                     queue.task_done()
-            if retire_after:
-                return
 
-    async def _coalesce(self, batch: List[_Ticket]) -> bool:
+    async def _coalesce(self, batch: List[_Ticket]) -> None:
         """Adaptively drain batch-mates into ``batch``.
 
         The target size is ``ceil(queue depth / dispatchers)`` clamped to
@@ -638,38 +562,27 @@ class StreamGateway:
         and no more, so an empty queue always dispatches immediately
         (depth-adaptive batching must not tax a lightly loaded stream).
         Only when the observed depth promised a bigger batch than the
-        queue delivered does the dispatcher linger ``micro_batch_ms`` for
-        stragglers.  Returns ``True`` when a retire sentinel was drained
-        (the caller exits after dispatching).
+        queue delivered does the dispatcher linger 2 ms for stragglers.
         """
         assert self._queue is not None
         queue = self._queue
-        retire = False
 
         def drain(limit: int) -> None:
-            nonlocal retire
-            while len(batch) < limit and not retire:
+            while len(batch) < limit:
                 try:
-                    ticket = queue.get_nowait()
+                    batch.append(queue.get_nowait())
                 except asyncio.QueueEmpty:
                     return
-                if ticket is _RETIRE:
-                    queue.task_done()
-                    retire = True
-                    return
-                batch.append(ticket)
 
-        dispatchers = max(1, len(self._tasks))
         target = max(1, min(
-            self.micro_batch, -(-queue.qsize() // dispatchers) + 1
+            self.micro_batch, -(-queue.qsize() // self.workers) + 1
         ))
         drain(target)
-        if len(batch) < target and not retire and self.micro_batch_ms > 0:
+        if len(batch) < target:
             # Single bounded linger (not a wait_for(queue.get()) — that
             # can lose an item to cancellation); then take what arrived.
-            await asyncio.sleep(self.micro_batch_ms / 1e3)
+            await asyncio.sleep(_LINGER_S)
             drain(target)
-        return retire
 
     def _put(
         self, pool: Executor, requests: List[RunRequest]
@@ -957,8 +870,6 @@ def serve(
     policy: str = "reject",
     deadline_ms: Optional[float] = None,
     micro_batch: int = 1,
-    autoscale: bool = False,
-    autoscale_policy: Optional[AutoscalePolicy] = None,
     warmup: bool = True,
     record: Optional[str] = None,
 ) -> StreamReport:
@@ -1007,8 +918,6 @@ def serve(
             policy=policy,
             deadline_ms=deadline_ms,
             micro_batch=micro_batch,
-            autoscale=autoscale,
-            autoscale_policy=autoscale_policy,
         )
         try:
             async with gateway:
@@ -1135,13 +1044,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     parser.add_argument(
-        "--autoscale", action="store_true",
-        help=(
-            "spawn/retire dispatcher tasks on sustained queue-depth "
-            "pressure (pool sized for --workers as the maximum)"
-        ),
-    )
-    parser.add_argument(
         "--engine", default="fast", choices=available_engines(),
         help="execution engine for every run (default: fast)",
     )
@@ -1209,7 +1111,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         policy=args.policy,
         deadline_ms=args.deadline_ms,
         micro_batch=args.micro_batch,
-        autoscale=args.autoscale,
         warmup=not args.no_warmup,
         record=args.record,
     )

@@ -42,9 +42,6 @@ leaks across worker kills.  Results that outgrow their region fall back to
 returning the encoded bytes through the future (pool pickling of one
 ``bytes`` object), and batches that find no free slot fall back to the
 pickle-bytes path — the transport degrades, it never blocks.
-
-The module also hosts :class:`AutoscalePolicy`, the pure decision rule the
-streaming gateway's worker autoscaler samples against observed queue depth.
 """
 
 from __future__ import annotations
@@ -87,7 +84,6 @@ __all__ = [
     "PickleTransport",
     "ShmTransport",
     "make_transport",
-    "AutoscalePolicy",
 ]
 
 MAGIC = b"RENV"
@@ -598,78 +594,3 @@ def make_transport(*, slots: int = 8, slot_bytes: int = 1 << 20):
         )
         return transport
 
-
-# -- autoscaler policy -------------------------------------------------------
-
-
-class AutoscalePolicy:
-    """Pure decision rule for the streaming gateway's worker autoscaler.
-
-    The gateway samples queue depth and feeds ``observe(depth, now)``;
-    the policy answers ``+1`` (add a dispatcher), ``-1`` (retire one) or
-    ``0``.  Scale-up requires the depth to sit at/above ``high_depth``
-    for ``sustain_s`` continuous seconds; scale-down symmetrically for
-    ``low_depth``; and every decision starts a ``cooldown_s`` quiet
-    period so bursts can't thrash the pool.  Deliberately free of clocks
-    and asyncio: the caller supplies ``now``, which makes the policy
-    directly unit-testable.
-    """
-
-    def __init__(
-        self,
-        *,
-        min_workers: int = 1,
-        max_workers: int = 4,
-        high_depth: int = 8,
-        low_depth: int = 1,
-        sustain_s: float = 0.25,
-        cooldown_s: float = 1.0,
-    ) -> None:
-        if min_workers < 1 or max_workers < min_workers:
-            raise ValueError("need 1 <= min_workers <= max_workers")
-        if low_depth > high_depth:
-            raise ValueError("low_depth must not exceed high_depth")
-        self.min_workers = min_workers
-        self.max_workers = max_workers
-        self.high_depth = high_depth
-        self.low_depth = low_depth
-        self.sustain_s = sustain_s
-        self.cooldown_s = cooldown_s
-        self.workers = min_workers
-        self._high_since: Optional[float] = None
-        self._low_since: Optional[float] = None
-        self._decided_at: Optional[float] = None
-
-    def observe(self, depth: int, now: float) -> int:
-        if self._decided_at is not None:
-            if now - self._decided_at < self.cooldown_s:
-                return 0
-            self._decided_at = None
-        if depth >= self.high_depth:
-            self._low_since = None
-            if self.workers >= self.max_workers:
-                self._high_since = None
-                return 0
-            if self._high_since is None:
-                self._high_since = now
-            if now - self._high_since >= self.sustain_s:
-                self.workers += 1
-                self._high_since = None
-                self._decided_at = now
-                return 1
-            return 0
-        self._high_since = None
-        if depth <= self.low_depth:
-            if self.workers <= self.min_workers:
-                self._low_since = None
-                return 0
-            if self._low_since is None:
-                self._low_since = now
-            if now - self._low_since >= self.sustain_s:
-                self.workers -= 1
-                self._low_since = None
-                self._decided_at = now
-                return -1
-            return 0
-        self._low_since = None
-        return 0

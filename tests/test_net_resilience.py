@@ -26,7 +26,7 @@ from repro.scenarios.generators import (
 from repro.scenarios.runner import ALGORITHMS, AlgorithmSpec, register_algorithm
 from repro.service import BatchService, requests_from_scenarios, summaries_digest
 from repro.service.batch import execute_request
-from repro.service.chaos import ChaosFault, parse_wire_faults
+from repro.service.chaos import ChaosFault
 from repro.service.net import (
     CorruptFrame,
     NetError,
@@ -202,13 +202,6 @@ def test_parse_toxic_grammar(spec, kind, value, direction):
 def test_malformed_toxic_specs_raise_the_chaos_error(spec):
     with pytest.raises(ChaosFault):
         parse_toxic(spec)
-
-
-def test_parse_wire_faults_bridges_the_chaos_vocabulary():
-    toxics = parse_wire_faults(["latency:5", "corrupt:0.5@down"])
-    assert [t.kind for t in toxics] == ["latency", "corrupt"]
-    with pytest.raises(ChaosFault):
-        parse_wire_faults(["latency:5", "nonsense"])
 
 
 # -- protocol codec: keys and CRC armour -------------------------------------

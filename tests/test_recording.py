@@ -20,7 +20,6 @@ from repro.service import (
     BatchService,
     CaptureError,
     Recorder,
-    ReplayingBackend,
     load_capture,
     replay_capture,
     requests_from_scenarios,
@@ -107,27 +106,6 @@ def test_capture_preserves_arrival_offsets(tmp_path):
     assert recorded_arrivals(offsets, timescale=0.0) == [0.0] * 3
 
 
-def test_replaying_backend_serves_recorded_summaries(tmp_path):
-    path = tmp_path / "trace.jsonl"
-    requests, live = _capture_stream(path, batch=4)
-    capture = load_capture(str(path))
-    backend = ReplayingBackend(capture)
-    served = list(backend.execute(requests))
-    assert sorted(s.digest for s in served) == sorted(
-        s.digest for s in live.summaries
-    )
-    assert all(s.resolved for s in served)
-    backend.close()
-
-    # A request the capture never saw is an error, not a silent re-run.
-    foreign = RunRequest(
-        kind="routing", family="balanced", n=64, seed=12345, engine="fast"
-    )
-    backend = ReplayingBackend(capture)
-    with pytest.raises(CaptureError, match="no recorded summary"):
-        list(backend.execute([foreign]))
-
-
 def test_batch_recording_tap(tmp_path):
     path = tmp_path / "batch.jsonl"
     requests = _requests(5)
@@ -140,6 +118,28 @@ def test_batch_recording_tap(tmp_path):
     assert capture.arrivals == [0.0] * len(requests)
     assert capture.capture_digest() == report.batch_digest()
     assert capture.metrics is not None
+
+
+def test_batch_capture_replays_without_shedding(tmp_path):
+    """Regression: a batch capture records no gateway shape, and its
+    replay used to fall back to a 64-slot queue under the reject policy,
+    shedding requests the batch never shed (32 of these 100)."""
+    path = tmp_path / "batch.jsonl"
+    requests = requests_from_scenarios(
+        mixed_batch(
+            100, seed0=0,
+            routing_sizes=(8,), sorting_sizes=(9,), multiplex_sizes=(8,),
+        ),
+        engine="fast",
+    )
+    with Recorder(str(path), meta={"source": "batch"}) as recorder:
+        recorder.record_batch(BatchService(workers=0), requests)
+    result = replay_capture(
+        load_capture(str(path)), workers=2, backend="thread", warmup=False
+    )
+    assert result.stream_report.rejected == []
+    assert result.digests_match
+    assert result.statuses_match
 
 
 # -- error paths --------------------------------------------------------------

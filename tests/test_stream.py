@@ -9,6 +9,7 @@ fixed scenario mix.
 import asyncio
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -22,11 +23,13 @@ from repro.service import (
     STATUS_REJECTED,
     BatchService,
     StreamGateway,
+    inject,
     requests_from_scenarios,
     serve,
     structural_warmup,
     summaries_digest,
 )
+from repro.service import stream as stream_mod
 from repro.service.stream import main as stream_main
 from repro.service.stream import replay
 
@@ -246,6 +249,49 @@ def test_gateway_default_deadline_applies_to_unset_requests(sleepy_algorithm):
     assert "deadline" in second.error
 
 
+def test_coalesced_hop_enforces_per_ticket_deadlines(monkeypatch):
+    """A micro-batched hop keeps per-request deadlines: a straggler in
+    the hop costs only the batch-mate whose own budget runs out, and the
+    survivors' digest equals a sequential run."""
+    hops = []
+    real = stream_mod._run_tickets
+
+    def counting(requests):
+        hops.append(len(requests))
+        return real(requests)
+
+    monkeypatch.setattr(stream_mod, "_run_tickets", counting)
+    requests = requests_from_scenarios(
+        mixed_batch(
+            8, seed0=0,
+            routing_sizes=(8,), sorting_sizes=(9,), multiplex_sizes=(8,),
+        ),
+        engine="fast",
+    )
+    requests[0] = inject(requests[0], "slow:300")
+    requests[1] = replace(requests[1], deadline_ms=100)
+
+    async def main():
+        gateway = StreamGateway(
+            workers=1, backend="thread", policy="block", micro_batch=4
+        )
+        async with gateway:
+            # The submit loop never yields, so all eight are queued before
+            # the one dispatcher first runs.
+            futures = [await gateway.submit(r) for r in requests]
+            return [await f for f in futures]
+
+    summaries = asyncio.run(asyncio.wait_for(main(), timeout=30))
+    assert hops == [4, 4]
+    assert summaries[1].status == STATUS_CANCELLED
+    survivors = summaries[:1] + summaries[2:]
+    assert all(s.status == STATUS_COMPLETED and s.ok for s in survivors)
+    sequential = BatchService(workers=0).run_batch(
+        [s.request for s in survivors]
+    )
+    assert summaries_digest(survivors) == sequential.batch_digest()
+
+
 # -- gateway mechanics -------------------------------------------------------
 
 
@@ -270,6 +316,17 @@ def test_engine_stamping_and_validation():
         backend="thread", warmup=False,
     )
     assert [s.engine for s in report.summaries] == ["fast", "reference"]
+
+
+def test_start_spawns_one_dispatcher_per_worker():
+    async def main():
+        async with StreamGateway(workers=3, backend="thread"):
+            return sorted(
+                t.get_name() for t in asyncio.all_tasks()
+                if t.get_name().startswith("stream-worker-")
+            )
+
+    assert asyncio.run(main()) == [f"stream-worker-{i}" for i in range(3)]
 
 
 def test_submit_after_close_raises():
@@ -347,8 +404,6 @@ def test_executor_failure_resolves_ticket_instead_of_deadlocking(monkeypatch):
     unresolved future would hang serve() forever — and leave the worker
     alive for subsequent requests.
     """
-    import repro.service.stream as stream_mod
-
     real = stream_mod.execute_request
     calls = {"n": 0}
 
@@ -385,8 +440,6 @@ def test_executor_failure_resolves_ticket_instead_of_deadlocking(monkeypatch):
 def test_failed_runs_excluded_from_success_latency(monkeypatch):
     """Fast crashes must not drag success percentiles down: failure
     latency is tracked in its own histogram."""
-    import repro.service.stream as stream_mod
-
     real = stream_mod.execute_request
 
     def crash_odd(req):

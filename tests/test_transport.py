@@ -1,11 +1,11 @@
-"""Zero-copy transport: envelope codec properties, shm arena, autoscaler.
+"""Zero-copy transport: envelope codec properties, shm arena, warm plans.
 
 A hypothesis property suite over the columnar envelope round trip (chaos
 tags, unset deadlines, failed and digestless summaries included), digest
 parity between the shm transport, its forced pickle fallback and the
 in-process path on a 256-instance mixed batch, the slot-arena lifecycle,
-the pure autoscaler decision rule, the PlanCache snapshot pickled-once
-regression, and capture parity across transports.
+the PlanCache snapshot pickled-once regression, and capture parity
+across transports.
 """
 
 import pytest
@@ -30,7 +30,6 @@ from repro.service import stream as stream_mod
 from repro.service import transport as transport_mod
 from repro.service.recording import Recorder, load_capture
 from repro.service.transport import (
-    AutoscalePolicy,
     PickleTransport,
     ShmArena,
     decode_requests,
@@ -236,58 +235,6 @@ def test_make_transport_names_and_validation(monkeypatch):
     assert isinstance(pkl, PickleTransport)
     assert "shared memory disabled" in pkl.fallback_reason
     pkl.close()
-
-
-# -- autoscaler policy --------------------------------------------------------
-
-
-def test_autoscale_policy_sustain_and_cooldown():
-    p = AutoscalePolicy(
-        min_workers=1, max_workers=3, high_depth=4, low_depth=0,
-        sustain_s=0.1, cooldown_s=1.0,
-    )
-    assert p.workers == 1
-    assert p.observe(8, 0.00) == 0  # high, but not sustained yet
-    assert p.observe(8, 0.05) == 0
-    assert p.observe(8, 0.11) == 1  # sustained past sustain_s
-    assert p.workers == 2
-    assert p.observe(8, 0.20) == 0  # cooldown swallows the next decision
-    assert p.observe(8, 1.20) == 0  # cooldown over; sustain restarts
-    assert p.observe(8, 1.35) == 1
-    assert p.workers == 3
-    assert p.observe(9, 2.40) == 0  # at max_workers: never exceeds
-    assert p.observe(9, 2.60) == 0
-
-    assert p.observe(0, 3.00) == 0  # idle, but not sustained yet
-    assert p.observe(0, 3.11) == -1
-    assert p.workers == 2
-    assert p.observe(0, 4.20) == 0
-    assert p.observe(0, 4.35) == -1
-    assert p.workers == 1
-    assert p.observe(0, 6.00) == 0  # at min_workers: never drops below
-    assert p.observe(0, 7.00) == 0
-
-
-def test_autoscale_policy_interruption_resets_sustain():
-    p = AutoscalePolicy(
-        min_workers=1, max_workers=2, high_depth=4, low_depth=0,
-        sustain_s=0.1, cooldown_s=0.1,
-    )
-    assert p.observe(8, 0.00) == 0
-    assert p.observe(2, 0.05) == 0  # dip below high_depth resets the clock
-    assert p.observe(8, 0.08) == 0
-    assert p.observe(8, 0.15) == 0  # only 0.07s sustained since the dip
-    assert p.observe(8, 0.19) == 1
-    assert p.workers == 2
-
-
-def test_autoscale_policy_validation():
-    with pytest.raises(ValueError, match="min_workers"):
-        AutoscalePolicy(min_workers=0)
-    with pytest.raises(ValueError, match="min_workers"):
-        AutoscalePolicy(min_workers=3, max_workers=2)
-    with pytest.raises(ValueError, match="low_depth"):
-        AutoscalePolicy(low_depth=9, high_depth=8)
 
 
 # -- PlanCache snapshot pickled once (satellite regression) -------------------
