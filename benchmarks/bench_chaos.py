@@ -132,7 +132,6 @@ def test_bench_chaos_gates(benchmark, table_printer, bench_json):
                 f"sequential re-execution"
             ),
             "engine": ENGINE,
-            "transport": "shm",
             "gates": dict(report.gates),
             "counts": dict(c),
             "p99_clean_ms": report.p99_clean_ms,

@@ -108,7 +108,6 @@ def _measure():
         {
             "config": "sequential-batch",
             "workers": 1,
-            "transport": "",
             "micro_batch": None,
             "offered": BATCH,
             "completed": BATCH,
@@ -124,7 +123,6 @@ def _measure():
         {
             "config": "stream-saturated",
             "workers": WORKERS,
-            "transport": saturated.transport,
             "micro_batch": 4,
             "offered": BATCH,
             "completed": len(saturated.completed),
@@ -140,7 +138,6 @@ def _measure():
         {
             "config": f"stream-poisson@{rate:.0f}/s",
             "workers": WORKERS,
-            "transport": open_loop.transport,
             "micro_batch": 1,
             "offered": BATCH,
             "completed": len(open_loop.completed),

@@ -17,12 +17,12 @@ granularity, which is the point of the comparison:
   included) and one of the judged ``RunSummary`` back.  Pickle
   re-instantiates the nested ``RunRequest`` inside every summary it
   loads.
-* **columnar** — per dispatch batch, one pickled work item
-  (``_run_envelope_shm`` plus four scalars — the only thing the shm
-  transport sends through the executor's pickle channel) and one
-  request envelope out, one summary envelope back, cost amortized per
-  request; summaries rejoin the requests the parent already holds
-  instead of re-shipping them.
+* **columnar** — per dispatch batch, one pickled
+  ``(run_envelope, (request_envelope,))`` work item out and one pickled
+  summary envelope back (what the gateway's process-pool hop sends
+  through the executor's pickle channel), cost amortized per request;
+  summaries rejoin the requests the parent already holds instead of
+  re-shipping them.
 
 The per-payload rows (requests alone, summaries alone) are recorded as
 context; the gate rides the ``round_trip`` row, which is what one
@@ -38,11 +38,11 @@ from repro.scenarios import mixed_batch
 from repro.service import requests_from_scenarios
 from repro.service.batch import execute_request
 from repro.service.transport import (
-    _run_envelope_shm,
     decode_requests,
     decode_summaries,
     encode_requests,
     encode_summaries,
+    run_envelope,
 )
 
 BATCH = 256
@@ -52,10 +52,6 @@ BYTES_RATIO_TARGET = 3.0
 
 #: best-of-N timing to shrug off CI-runner noise.
 REPEAT = 9
-
-#: the shm transport's per-envelope work item: what actually crosses the
-#: executor's pickle channel (slot name + three geometry scalars).
-_SHM_ITEM = (_run_envelope_shm, ("renv-bench-0", 4096, 524288, 524288))
 
 SIZES = dict(routing_sizes=(16,), sorting_sizes=(16,), multiplex_sizes=(16,))
 
@@ -89,7 +85,8 @@ def _measure():
     assert decode_summaries(sum_buf, requests) == summaries
 
     proto = pickle.HIGHEST_PROTOCOL
-    shm_item = len(pickle.dumps(_SHM_ITEM, proto))
+    req_item = len(pickle.dumps((run_envelope, (req_buf,)), proto))
+    sum_item = len(pickle.dumps(sum_buf, proto))
     req_pkl = sum(
         len(pickle.dumps((execute_request, (r,)), proto)) for r in requests
     )
@@ -104,24 +101,26 @@ def _measure():
             pickle.loads(pickle.dumps(s, proto))
 
     def columnar_requests():
-        pickle.loads(pickle.dumps(_SHM_ITEM, proto))
-        decode_requests(encode_requests(requests))
+        item = (run_envelope, (encode_requests(requests),))
+        _, (blob,) = pickle.loads(pickle.dumps(item, proto))
+        decode_requests(blob)
 
     def columnar_summaries():
-        decode_summaries(encode_summaries(summaries), requests)
+        blob = pickle.loads(pickle.dumps(encode_summaries(summaries), proto))
+        decode_summaries(blob, requests)
 
     timings = {
         "requests": (
             _best_us(pickle_requests),
             _best_us(columnar_requests),
             req_pkl,
-            shm_item + len(req_buf),
+            req_item,
         ),
         "summaries": (
             _best_us(pickle_summaries),
             _best_us(columnar_summaries),
             sum_pkl,
-            len(sum_buf),
+            sum_item,
         ),
     }
 
@@ -137,7 +136,7 @@ def _measure():
         _best_us(round_trip_pickle),
         _best_us(round_trip_columnar),
         req_pkl + sum_pkl,
-        shm_item + len(req_buf) + len(sum_buf),
+        req_item + sum_item,
     )
 
     rows = []
@@ -184,8 +183,10 @@ def test_bench_transport_serialization(benchmark, table_printer, bench_json):
         {
             "description": (
                 f"{BATCH}-instance mixed batch, complete dispatch payload "
-                f"per request: columnar envelopes + one pickled shm work "
-                f"item per dispatch (repro.service.transport, amortized) "
+                f"per request: one pickled (run_envelope, (request "
+                f"envelope,)) work item out and one pickled summary "
+                f"envelope back per dispatch (repro.service.transport, "
+                f"amortized) "
                 f"vs per-ticket pickling of (execute_request, (request,)) "
                 f"out and the RunSummary back (the pre-transport hop); "
                 f"the round_trip row is gated on every host (codec ratios "

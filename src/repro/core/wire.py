@@ -32,11 +32,12 @@ Since PR 7 the same columnar idea crosses the *IPC* boundary: the envelope
 column primitives at the bottom of this module (string table, constant /
 interned / raw string columns, i64 / f64 / byte / optional-f64 columns) are
 the building blocks :mod:`repro.service.transport` assembles into flat
-``RunRequest``/``RunSummary`` envelope buffers — the zero-copy request and
-result path of the batch and stream backends.  They live here, beside the
-data-plane columns, because they are the same representation discipline:
-parallel flat buffers, constant-column collapse, one C-speed pass per
-column instead of one pickle per object.
+``RunRequest``/``RunSummary`` envelope buffers — the bytes one
+process-pool hop of the stream gateway (and so of a pooled batch) carries
+each way, and the payload of the network protocol's data frames.  They
+live here, beside the data-plane columns, because they are the same
+representation discipline: parallel flat buffers, constant-column
+collapse, one C-speed pass per column instead of one pickle per object.
 
 Everything here is *semantics-preserving*: outputs, round counts, per-round
 traffic statistics and error behavior match the packet-at-a-time code path

@@ -15,7 +15,7 @@ Two front ends share the same envelopes, judgement and digests:
   explicit backpressure (reject or block), enforces per-request
   deadlines, and records tail-latency histograms; judged on sustained
   throughput and p50/p95/p99, not batch wall-time.  It is the one
-  owner of a worker pool: its build, warm-up, transport and recovery
+  owner of a worker pool: its build, warm-up, envelope hop and recovery
   from pool death serve both front ends.
 
 Two operational companions ride on the same envelopes:
@@ -27,9 +27,9 @@ Two operational companions ride on the same envelopes:
 * :mod:`repro.service.chaos` — fault injection (worker kills, poison
   requests, stragglers) against live gateways, gated on recovery,
   digest correctness, and bounded p99.
-* :mod:`repro.service.transport` — the zero-copy request/result path
-  of the gateway's process pool: columnar envelope codec, shared-memory
-  slot arena with automatic pickle fallback.
+* :mod:`repro.service.transport` — the columnar envelope codec: one
+  request envelope and one summary envelope per process-pool hop, shipped
+  as plain bytes.
 * :mod:`repro.service.net` — the networked front end: a versioned
   length-prefixed binary protocol over TCP whose payloads are the
   transport's columnar envelopes; asyncio server fronting the stream
@@ -102,15 +102,10 @@ _NET_EXPORTS = (
 )
 
 _TRANSPORT_EXPORTS = (
-    "PendingEnvelope",
-    "PickleTransport",
-    "ShmArena",
-    "ShmTransport",
     "decode_requests",
     "decode_summaries",
     "encode_requests",
     "encode_summaries",
-    "make_transport",
 )
 
 

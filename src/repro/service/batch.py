@@ -12,8 +12,8 @@ users").  This module is that front end:
 * ``workers < 2`` runs a batch in-process in request order (the
   determinism baseline).  ``workers >= 2`` runs it through a
   process-backed :class:`~repro.service.stream.StreamGateway` — the one
-  piece of code that owns a worker pool, its transport and its recovery
-  from pool death.
+  piece of code that owns a worker pool, its envelope hop and its
+  recovery from pool death.
 * Every run is judged exactly as the scenario harness judges it (oracle
   verification, round bounds, message budget) and collapsed to a
   :class:`~repro.core.engine.RunSummary`; summaries come back in request
@@ -224,12 +224,6 @@ class BatchReport:
     plan_cache_stats: Tuple[int, int, int] = (0, 0, 0)
     #: worker pools rebuilt after mid-batch breakage (0 on a healthy run).
     pool_replacements: int = 0
-    #: envelope transport the pool used: "shm", "pickle" when shared
-    #: memory could not be created, or "" when no request crossed a
-    #: process boundary.
-    transport: str = ""
-    #: why the pool's transport fell back to pickle ("" on shm).
-    fallback_reason: str = ""
 
     @property
     def ok(self) -> bool:
@@ -284,8 +278,6 @@ class BatchReport:
         return {
             "backend": self.backend,
             "workers": self.workers,
-            "transport": self.transport,
-            "fallback_reason": self.fallback_reason,
             "ok": self.ok,
             "requests": len(self.summaries),
             "failed": len(self.failures),
@@ -402,8 +394,6 @@ class BatchService:
 
         summaries = asyncio.run(run())
         info["warmed"] = gateway.warmed_plans
-        info["transport"] = gateway.transport_name
-        info["fallback_reason"] = gateway.fallback_reason
         info["pool_replacements"] = gateway.metrics.pool_replacements
         return summaries
 
@@ -423,8 +413,8 @@ class BatchService:
         a running event loop.
 
         ``_info``, when given, receives the pool accounting (``warmed``,
-        ``prefetch_runs``, ``transport``, ``fallback_reason``,
-        ``pool_replacements``) — internal plumbing for :meth:`run_batch`.
+        ``prefetch_runs``, ``pool_replacements``) — internal plumbing for
+        :meth:`run_batch`.
         """
         stamped = self._stamp(requests)
         if self.workers < 2:
@@ -466,6 +456,4 @@ class BatchService:
             prefetch_runs=int(info.get("prefetch_runs", 0)),
             plan_cache_stats=(hits1 - hits0, misses1 - misses0, size1),
             pool_replacements=int(info.get("pool_replacements", 0)),
-            transport=str(info.get("transport", "")),
-            fallback_reason=str(info.get("fallback_reason", "")),
         )

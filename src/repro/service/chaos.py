@@ -34,10 +34,6 @@ Gates (all must hold for exit code 0):
    requests.
 4. **p99 bounded** — success p99 under stragglers stays within
    ``factor * (clean_p99 + straggler_ms) + slack``.
-5. **shm leak free** — the shared-memory transport owns no more live
-   segments after the chaos run than before it: worker kills (which
-   break the pool mid-envelope) must never strand a parent-owned slot.
-   Vacuously true when the pool fell back to pickle bytes.
 
 This module's faults live at the *request* level.  The wire-level
 counterpart — latency, jitter, rate caps, mid-frame disconnects,
@@ -72,7 +68,6 @@ from .batch import (
     BatchService,
     requests_from_scenarios,
 )
-from .transport import ShmArena
 
 __all__ = [
     "ChaosFault",
@@ -292,10 +287,6 @@ def run_chaos(
         )
         p99_clean_ms = clean_report.metrics["latency"]["p99_ms"]
 
-    # Worker kills break the pool while envelopes are in flight through
-    # shared-memory slots — exactly the path that could strand a segment.
-    # Snapshot the live set around the chaos run and gate on it.
-    segments_before = set(ShmArena.live_segments())
     chaos_report = serve(
         plan.requests,
         arrivals,
@@ -306,7 +297,6 @@ def run_chaos(
         policy="block",
         record=record,
     )
-    segments_after = set(ShmArena.live_segments())
 
     summaries = chaos_report.summaries
     completed = chaos_report.completed
@@ -348,7 +338,6 @@ def run_chaos(
             or not plan.straggler_indices
             or p99_chaos_ms <= p99_bound_ms
         ),
-        "shm_leak_free": segments_after <= segments_before,
     }
     counts = {
         "offered": len(summaries),

@@ -28,6 +28,7 @@ import argparse
 import asyncio
 import json
 import math
+import signal
 import sys
 import threading
 import time
@@ -160,6 +161,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         finally:
             await server.close()
 
+    # A shell without job control starts `serve &` with SIGINT ignored,
+    # and Python then installs no KeyboardInterrupt handler: restore it.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         asyncio.run(_run())
     except KeyboardInterrupt:

@@ -44,10 +44,10 @@ Architecture::
   counters and queue-depth extrema; :class:`StreamReport` rolls them up
   with the order-independent digest shared with the batch service, so
   "streaming == batch == sequential" is a one-line comparison.
-* **Zero-copy transport.**  The process backend ships work as columnar
-  envelopes (:mod:`repro.service.transport`) through shared-memory slots,
-  falling back to pickle bytes when shared memory is unavailable, every
-  slot is busy, or an envelope is too large.
+* **Columnar envelopes.**  The process backend ships each hop as one
+  request envelope (:mod:`repro.service.transport`) through the pool's
+  own call queue and gets one summary envelope back: plain bytes both
+  ways.
 * **Pool death.**  A dead pool child breaks the whole pool: the hops in
   flight on it fail, and the pool is replaced once and counted once.  A
   pool that broke while idle refuses the next submit; nothing ran, so the
@@ -85,7 +85,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from dataclasses import dataclass, field, replace
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence
 
 from ..core.context import plan_cache
 from ..core.engine import (
@@ -106,7 +106,7 @@ from .batch import (
     structural_warmup,
     summaries_digest,
 )
-from .transport import PendingEnvelope, make_transport
+from .transport import decode_summaries, encode_requests, run_envelope
 
 __all__ = [
     "STATUS_CANCELLED",
@@ -311,25 +311,11 @@ class StreamGateway:
         self.metrics = StreamMetrics()
         self._queue: Optional["asyncio.Queue[_Ticket]"] = None
         self._pool: Optional[Executor] = None
-        self._transport = None
         self._warm_blob = b""
         #: plan-cache entries shipped to every process-backend worker.
         self.warmed_plans = 0
         self._tasks: List["asyncio.Task[None]"] = []
         self._closed = False
-
-    @property
-    def transport_name(self) -> str:
-        """The process backend's transport: ``"shm"``, or ``"pickle"`` when
-        shared memory could not be created ("" for the thread backend)."""
-        return self._transport.name if self._transport is not None else ""
-
-    @property
-    def fallback_reason(self) -> str:
-        """Why the transport fell back to pickle ("" otherwise)."""
-        if self._transport is None:
-            return ""
-        return self._transport.fallback_reason
 
     @property
     def queue_depth(self) -> int:
@@ -360,9 +346,6 @@ class StreamGateway:
             plans = plan_cache().snapshot()
             self.warmed_plans = len(plans)
             self._warm_blob = _pickle_plans(plans)
-            self._transport = make_transport(
-                slots=max(2, min(16, 2 * self.workers))
-            )
         self._pool = self._build_pool()
         self._queue = asyncio.Queue(maxsize=self.queue_cap)
         self._tasks = [
@@ -456,9 +439,6 @@ class StreamGateway:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        if self._transport is not None:
-            # Closed but kept: the report still names what was used.
-            self._transport.close()
 
     async def __aenter__(self) -> "StreamGateway":
         return await self.start()
@@ -586,13 +566,14 @@ class StreamGateway:
 
     def _put(
         self, pool: Executor, requests: List[RunRequest]
-    ) -> Tuple[Optional[PendingEnvelope], "asyncio.Future[object]"]:
-        """Submit one hop: its envelope (process backend) and its result."""
-        if self._transport is None:
-            loop = asyncio.get_running_loop()
-            return None, loop.run_in_executor(pool, _run_tickets, requests)
-        envelope = self._transport.dispatch(pool, requests)
-        return envelope, asyncio.wrap_future(envelope.future)
+    ) -> "asyncio.Future[object]":
+        """Submit one hop; the process backend ships it as envelope bytes."""
+        loop = asyncio.get_running_loop()
+        if self.backend == "process":
+            return loop.run_in_executor(
+                pool, run_envelope, encode_requests(requests)
+            )
+        return loop.run_in_executor(pool, _run_tickets, requests)
 
     async def _dispatch_batch(self, tickets: List[_Ticket]) -> None:
         """Run one micro-batch through the executor, one hop for all.
@@ -632,14 +613,14 @@ class StreamGateway:
         pool = self._pool
         requests = [t.request for t in live]
         try:
-            envelope, task = self._put(pool, requests)
+            task = self._put(pool, requests)
         except BrokenExecutor:
             # The pool broke while idle (an OOM kill, an operator's
             # ``kill``), so submit refused the hop and nothing ran:
             # replace the pool and put the hop on the new one, once.
             self._replace_pool(pool)
             pool = self._pool
-            envelope, task = self._put(pool, requests)
+            task = self._put(pool, requests)
 
         # Enforce mid-run deadlines per ticket, soonest first.  The hop is
         # shared, so a timed-out ticket abandons its *result*, never the
@@ -686,11 +667,8 @@ class StreamGateway:
 
         if len(abandoned) == len(live) and not task.done():
             # Nobody is waiting for this hop anymore.  Don't: the
-            # dispatcher is worth more than the stale result.  The
-            # envelope's slot recycles (and the exception, if any, is
-            # consumed) when the hop eventually settles.
-            if envelope is not None:
-                envelope.abandon()
+            # dispatcher is worth more than the stale result.  Its
+            # exception, if any, is consumed when the hop settles.
             task.add_done_callback(_swallow_task_result)
             return
 
@@ -705,8 +683,6 @@ class StreamGateway:
             # percentiles.  The hops in flight on a dead pool fail, and
             # the pool is replaced once (identity-guarded) and counted
             # once.
-            if envelope is not None:
-                envelope.abandon()
             for ticket in live:
                 if id(ticket) in abandoned:
                     continue
@@ -721,7 +697,11 @@ class StreamGateway:
                 self._replace_pool(pool)
             return
 
-        summaries = envelope.decode() if envelope is not None else raw
+        summaries = (
+            decode_summaries(raw, requests)
+            if self.backend == "process"
+            else raw
+        )
         # execute_request stamps STATUS_FAILED on runs that crashed inside
         # the worker (poison requests, resolution errors); everything else
         # ran to a judged end.  Preserve the failure label — the gateway
@@ -784,8 +764,6 @@ class StreamReport:
     deadline_ms: Optional[float]
     engine: str
     metrics: Dict[str, object] = field(default_factory=dict)
-    #: envelope transport the gateway used ("" for the thread backend).
-    transport: str = ""
 
     @property
     def completed(self) -> List[RunSummary]:
@@ -837,7 +815,6 @@ class StreamReport:
         return {
             "backend": self.backend,
             "workers": self.workers,
-            "transport": self.transport,
             "queue_cap": self.queue_cap,
             "policy": self.policy,
             "deadline_ms": self.deadline_ms,
@@ -944,7 +921,6 @@ def serve(
             deadline_ms=deadline_ms,
             engine=engine,
             metrics=gateway.metrics.to_dict(),
-            transport=gateway.transport_name,
         )
 
     return asyncio.run(_main())

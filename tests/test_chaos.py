@@ -1,10 +1,13 @@
 """Chaos harness: fault transport, containment, recovery, digest parity.
 
-The ISSUE 6 gates in test form: poison requests resolve as failed (never
-completed), a SIGKILLed pool worker breaks neither the gateway nor the
-batch service (pool replaced, judged summaries still reported), and the
-digests over surviving runs stay byte-identical to a sequential
-re-execution.
+The harness's gates in test form: poison requests resolve as failed
+(never completed), a SIGKILLed pool worker breaks neither the gateway
+nor the batch service (pool replaced, judged summaries still reported),
+the digests over surviving runs stay byte-identical to a sequential
+re-execution, and a report names exactly the four gates.  Plus the one
+recovery policy: hops in flight on a dead pool fail, the pool is
+replaced once, and a hop refused at submit is replayed once on the new
+pool.
 """
 
 import asyncio
@@ -32,7 +35,6 @@ from repro.service import (
     structural_warmup,
 )
 from repro.service.chaos import main as chaos_main
-from repro.service.transport import ShmArena
 
 SMALL_SIZES = dict(
     routing_sizes=(16,), sorting_sizes=(16,), multiplex_sizes=(16,)
@@ -200,23 +202,7 @@ def test_run_chaos_gates_pass_with_worker_kill():
     assert doc["ok"] is True
     assert set(doc["gates"]) == {
         "recovered", "faults_contained", "digests_correct", "p99_bounded",
-        "shm_leak_free",
     }
-    assert doc["gates"]["shm_leak_free"] is True
-
-
-def test_worker_kill_leaks_no_shm_segments():
-    """A SIGKILLed worker must not strand shared-memory segments: slots are
-    parent-owned, so the dead child can at worst leave a slot marked in-use
-    until the envelope is abandoned — never an unlinked-but-live segment."""
-    before = set(ShmArena.live_segments())
-    requests = _requests(8, seed0=31)
-    requests[2] = inject(requests[2], "kill")
-    service = BatchService(workers=2, warmup=False, chunk=2)
-    report = service.run_batch(requests)
-    assert report.pool_replacements >= 1  # the kill actually landed
-    after = set(ShmArena.live_segments())
-    assert after <= before, f"leaked shm segments: {sorted(after - before)}"
 
 
 # -- one recovery policy: hops on a dead pool fail, one replacement ----------
@@ -258,8 +244,7 @@ def test_mid_batch_kill_replaces_pool_exactly_once():
 def test_idle_worker_death_is_replaced_at_submit():
     """A pool whose only worker died while idle refuses the next submit
     with ``BrokenExecutor``.  Nothing ran, so the gateway replaces the
-    pool and puts the hop on the new one; the refused hop's shm slot goes
-    back to the arena."""
+    pool and puts the hop on the new one."""
     requests = _requests(6, seed0=81)
 
     async def main():
@@ -275,18 +260,14 @@ def test_idle_worker_death_is_replaced_at_submit():
             assert pool._broken, "the pool never noticed its dead worker"
             futures = [await gateway.submit(r) for r in requests[1:]]
             rest = [await f for f in futures]
-            in_use = sum(
-                slot.in_use for slot in gateway._transport._arena._slots
-            )
-        return first, rest, in_use, gateway.metrics.pool_replacements
+        return first, rest, gateway.metrics.pool_replacements
 
-    first, rest, in_use, replacements = asyncio.run(
+    first, rest, replacements = asyncio.run(
         asyncio.wait_for(main(), timeout=120)
     )
     assert first.status == STATUS_COMPLETED
     assert [s.status for s in rest] == [STATUS_COMPLETED] * 5
     assert replacements == 1
-    assert in_use == 0
 
 
 # -- CLI ----------------------------------------------------------------------

@@ -6,11 +6,18 @@ hangs), the 256-instance digest-parity differential (remote client ==
 MockClient == in-process gateway == sequential), the drain test (server
 shutdown with in-flight tickets resolves every future), per-session
 quotas and survivable refusals, and the docstring pass over the public
-client API.
+client API, and the ``serve`` CLI's SIGINT shutdown when it was started
+with SIGINT ignored.
 """
 
+import os
+import selectors
+import signal
 import socket
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +58,8 @@ from repro.service.net.framing import (
 from repro.service.net.protocol import VERSION, encode_submit
 from repro.service.net.server import NetServer, ServerThread
 from repro.service.stream import serve
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 SMALL_SIZES = dict(
     routing_sizes=(16,), sorting_sizes=(16,), multiplex_sizes=(16,)
@@ -565,6 +574,34 @@ def test_cli_selfcheck_and_bench(capsys):
     ) == 0
     out = capsys.readouterr().out
     assert "envelope round-trip ms" in out and "wire bytes" in out
+
+
+def test_serve_stops_on_sigint_inherited_as_ignored():
+    """A shell without job control starts ``serve &`` with SIGINT
+    ignored.  ``serve`` restores the default handler, so ``kill -INT``
+    still drains it and it exits 0."""
+    with subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.service.net", "serve",
+            "--port", "0", "--workers", "1", "--backend", "thread",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+    ) as proc:
+        try:
+            with selectors.DefaultSelector() as sel:
+                sel.register(proc.stdout, selectors.EVENT_READ)
+                assert sel.select(30), "serve printed no address in time"
+            assert "serving on" in proc.stdout.readline()
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=20)
+            assert proc.returncode == 0
+            assert "shutting down" in err
+        finally:
+            proc.kill()
 
 
 def test_remote_selfcheck_mix_covers_the_full_taxonomy():

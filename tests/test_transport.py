@@ -1,11 +1,11 @@
-"""Zero-copy transport: envelope codec properties, shm arena, warm plans.
+"""Envelope transport: codec properties, warm plans, capture parity.
 
 A hypothesis property suite over the columnar envelope round trip (chaos
-tags, unset deadlines, failed and digestless summaries included), digest
-parity between the shm transport, its forced pickle fallback and the
-in-process path on a 256-instance mixed batch, the slot-arena lifecycle,
-the PlanCache snapshot pickled-once regression, and capture parity
-across transports.
+tags, unset deadlines, failed and digestless summaries included), the
+PlanCache snapshot pickled-once regression, and capture parity between
+the in-process path and the pooled envelope hop.  Pooled == sequential
+digests on a 256-instance mixed batch are checked by
+``tests/test_service.py::test_service_vs_direct_differential_256``.
 """
 
 import pytest
@@ -27,16 +27,12 @@ from repro.service import (
     requests_from_scenarios,
 )
 from repro.service import stream as stream_mod
-from repro.service import transport as transport_mod
 from repro.service.recording import Recorder, load_capture
 from repro.service.transport import (
-    PickleTransport,
-    ShmArena,
     decode_requests,
     decode_summaries,
     encode_requests,
     encode_summaries,
-    make_transport,
 )
 
 SMALL_SIZES = dict(
@@ -48,11 +44,6 @@ def _requests(batch, engine="fast", seed0=400):
     return requests_from_scenarios(
         mixed_batch(batch, seed0=seed0, **SMALL_SIZES), engine=engine
     )
-
-
-def _refuse_shared_memory(*args, **kwargs):
-    """Stand-in arena constructor for a host that cannot create shm."""
-    raise OSError("shared memory disabled for this test")
 
 
 # -- codec property suite -----------------------------------------------------
@@ -160,83 +151,6 @@ def test_failed_digestless_summaries_round_trip():
     assert all(not s.resolved for s in decoded)
 
 
-# -- transport digest parity (the acceptance batch) ---------------------------
-
-
-def test_shm_pickle_and_inprocess_digests_match_on_256_mixed(monkeypatch):
-    """The headline parity gate: the same 256-instance mixed batch must
-    produce byte-identical digests through the shm transport, through the
-    pickle fallback the pool takes when shared memory cannot be created,
-    and in-process."""
-    requests = _requests(256, seed0=0)
-    sequential = BatchService(workers=0).run_batch(requests)
-    assert sequential.ok
-
-    reports = {}
-    for transport in ("shm", "pickle"):
-        with monkeypatch.context() as m:
-            if transport == "pickle":
-                m.setattr(transport_mod, "ShmArena", _refuse_shared_memory)
-            report = BatchService(workers=2, warmup=False).run_batch(requests)
-        assert report.ok, report.failures[:3]
-        assert report.transport == transport
-        reports[transport] = report
-    assert reports["shm"].fallback_reason == ""
-    assert "shared memory unavailable" in reports["pickle"].fallback_reason
-
-    assert (
-        reports["shm"].batch_digest()
-        == reports["pickle"].batch_digest()
-        == sequential.batch_digest()
-    )
-    seq_digests = [s.digest for s in sequential.summaries]
-    for report in reports.values():
-        assert [s.digest for s in report.summaries] == seq_digests
-
-
-# -- shm arena lifecycle ------------------------------------------------------
-
-
-def test_arena_slot_lifecycle_and_leak_accounting():
-    before = set(ShmArena.live_segments())
-    arena = ShmArena(slots=2, slot_bytes=4096)
-    try:
-        created = set(ShmArena.live_segments()) - before
-        assert len(created) == 2
-
-        a = arena.acquire(1024)
-        b = arena.acquire(1024)
-        assert a is not None and b is not None
-        assert arena.acquire(1024) is None  # exhausted -> caller falls back
-        arena.release(a)
-        c = arena.acquire(1024)
-        assert c is not None  # released slots are reusable
-        arena.release(b)
-        arena.release(c)
-        arena.release(c)  # release is idempotent
-
-        assert arena.acquire(len(a.shm.buf) + 1) is None  # oversized payload
-    finally:
-        arena.close()
-    assert set(ShmArena.live_segments()) == before
-    arena.close()  # close is idempotent
-
-
-def test_make_transport_names_and_validation(monkeypatch):
-    shm = make_transport(slots=2, slot_bytes=4096)
-    try:
-        assert shm.name in ("shm", "pickle")  # pickle iff shm unavailable
-        if shm.name == "pickle":
-            assert "shared memory unavailable" in shm.fallback_reason
-    finally:
-        shm.close()
-    monkeypatch.setattr(transport_mod, "ShmArena", _refuse_shared_memory)
-    pkl = make_transport(slots=2, slot_bytes=4096)
-    assert isinstance(pkl, PickleTransport)
-    assert "shared memory disabled" in pkl.fallback_reason
-    pkl.close()
-
-
 # -- PlanCache snapshot pickled once (satellite regression) -------------------
 
 
@@ -264,33 +178,27 @@ def test_plan_snapshot_pickled_once_across_pool_respawns(monkeypatch):
     )
 
 
-# -- capture parity across transports -----------------------------------------
+# -- capture parity: in-process vs pooled ------------------------------------
 
 
-def test_captures_identical_across_transports(tmp_path, monkeypatch):
-    """Captures of the same batch in-process, over shm and over the
-    forced pickle fallback are identical."""
+def test_captures_identical_across_transports(tmp_path):
+    """Captures of the same batch in-process and through the pool's
+    envelope hop are identical."""
     requests = _requests(8, seed0=55)
     captures = {}
-    for transport, workers in (("", 0), ("shm", 2), ("pickle", 2)):
-        path = str(tmp_path / f"capture-{transport or 'inprocess'}.jsonl")
+    for workers in (0, 2):
+        path = str(tmp_path / f"capture-{workers}.jsonl")
         service = BatchService(workers=workers, warmup=False)
-        with monkeypatch.context() as m:
-            if transport == "pickle":
-                m.setattr(transport_mod, "ShmArena", _refuse_shared_memory)
-            with Recorder(path, meta={"transport": transport}) as recorder:
-                report = recorder.record_batch(service, requests)
+        with Recorder(path, meta={"workers": workers}) as recorder:
+            report = recorder.record_batch(service, requests)
         assert report.ok
-        assert report.transport == transport
-        assert bool(report.fallback_reason) == (transport == "pickle")
-        captures[transport] = load_capture(path)
+        captures[workers] = load_capture(path)
 
-    seq, shm, pkl = captures[""], captures["shm"], captures["pickle"]
-    assert seq.requests == shm.requests == pkl.requests == requests
-    assert seq.statuses() == shm.statuses() == pkl.statuses()
-    assert seq.capture_digest() == shm.capture_digest() == pkl.capture_digest()
+    seq, pooled = captures[0], captures[2]
+    assert seq.requests == pooled.requests == requests
+    assert seq.statuses() == pooled.statuses()
+    assert seq.capture_digest() == pooled.capture_digest()
     assert (
         [s.digest for s in seq.resolved_summaries()]
-        == [s.digest for s in shm.resolved_summaries()]
-        == [s.digest for s in pkl.resolved_summaries()]
+        == [s.digest for s in pooled.resolved_summaries()]
     )
