@@ -65,8 +65,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--repeat", type=int, default=1, metavar="K",
         help=(
-            "run each algorithm K times; repeats replay cached plans "
-            "(colorings, partitions, header tables) and report best time"
+            "run each algorithm K times; the second run stores its plans "
+            "(colorings, partitions, header tables), later runs replay "
+            "them; reports best time"
         ),
     )
     args = parser.parse_args(argv)

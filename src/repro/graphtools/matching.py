@@ -45,45 +45,65 @@ def hopcroft_karp(
     for u, v in enumerate(match_left):
         if v is not None:
             match_right[v] = u
-
-    # Layered distances from the latest BFS phase, shared with dfs below.
+    # Layered distances from the latest BFS phase, read by the DFS.  The
+    # phases are module-level functions, not closures: a recursive closure
+    # references itself through its cell, a cycle that would leave every
+    # matching's state to the cyclic garbage collector.
     dist: List[float] = [INF] * left_size
-
-    def bfs() -> bool:
-        nonlocal dist
-        dist = [INF] * left_size
-        queue: deque = deque()
+    while _bfs(adj, match_left, match_right, dist):
         for u in range(left_size):
             if match_left[u] is None:
-                dist[u] = 0
-                queue.append(u)
-        found_augmenting = False
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                w = match_right[v]
-                if w is None:
-                    found_augmenting = True
-                elif dist[w] is INF:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return found_augmenting
+                _dfs(u, adj, match_left, match_right, dist)
+    return match_left
 
-    def dfs(u: int) -> bool:
+
+def _bfs(
+    adj: Sequence[Sequence[int]],
+    match_left: List[Optional[int]],
+    match_right: List[Optional[int]],
+    dist: List[float],
+) -> bool:
+    """Layer the graph from the free left vertices into ``dist``; report
+    whether some layer reaches a free right vertex (an augmenting path)."""
+    queue: deque = deque()
+    for u in range(len(adj)):
+        if match_left[u] is None:
+            dist[u] = 0
+            queue.append(u)
+        else:
+            dist[u] = INF
+    found_augmenting = False
+    while queue:
+        u = queue.popleft()
         for v in adj[u]:
             w = match_right[v]
-            if w is None or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_left[u] = v
-                match_right[v] = u
-                return True
-        dist[u] = INF
-        return False
+            if w is None:
+                found_augmenting = True
+            elif dist[w] is INF:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return found_augmenting
 
-    while bfs():
-        for u in range(left_size):
-            if match_left[u] is None:
-                dfs(u)
-    return match_left
+
+def _dfs(
+    u: int,
+    adj: Sequence[Sequence[int]],
+    match_left: List[Optional[int]],
+    match_right: List[Optional[int]],
+    dist: List[float],
+) -> bool:
+    """Augment along a layered path from left vertex ``u``, if one exists."""
+    for v in adj[u]:
+        w = match_right[v]
+        if w is None or (
+            dist[w] == dist[u] + 1
+            and _dfs(w, adj, match_left, match_right, dist)
+        ):
+            match_left[u] = v
+            match_right[v] = u
+            return True
+    dist[u] = INF
+    return False
 
 
 def maximum_matching(graph: BipartiteMultigraph) -> List[int]:

@@ -18,16 +18,18 @@ users").  This module is that front end:
   verification, round bounds, message budget) and collapsed to a
   :class:`~repro.core.engine.RunSummary`; summaries come back in request
   order.
-* **Worker plan-cache warmup.**  The structural plans (Koenig colorings,
-  group partitions, header codecs) dominate per-run setup and recur across
-  a batch.  The pooled path runs a *structural prefetch pass*
-  (:func:`structural_warmup`): one representative request per distinct
-  ``(kind, family, n, algorithm, engine)`` group executes in the parent,
-  and the gateway ships the parent's
-  :class:`~repro.core.context.PlanCache` snapshot (pickle-filtered) to
-  every worker's initializer.  Prefetch runs are real results — their
-  summaries are spliced back into the batch, so the warmup costs no
-  duplicated work.
+* **Worker plan-cache warmup.**  Some structural plans recur across a
+  batch: group partitions and header codecs for every request at the same
+  ``n``, and the colorings of uniform announce demands.  The pooled path
+  runs a *structural prefetch pass* (:func:`structural_warmup`): one
+  representative request per distinct ``(kind, family, n, algorithm,
+  engine)`` group executes in the parent, and the gateway ships the
+  parent's :class:`~repro.core.context.PlanCache` snapshot
+  (pickle-filtered) to every worker's initializer.  The cache stores a
+  plan on its second computation, so the snapshot holds the plans the
+  prefetch pass (or earlier work in the parent) computed twice.  Prefetch
+  runs are real results — their summaries are spliced back into the
+  batch, so the warmup costs no duplicated work.
 
 The digests let any two paths over the same batch — sequential, pooled, or
 direct ``engine.execute`` calls — be compared byte-for-byte; CI's service
@@ -112,10 +114,12 @@ def requests_from_scenarios(
 def structural_key(req: RunRequest) -> Tuple:
     """The coordinate that decides "same structural plans" for warmup.
 
-    Requests sharing this key replay identical Koenig colorings, group
-    partitions and header codecs from the plan cache (the seed only varies
-    payloads, never structure).  :func:`structural_warmup` dedupes through
-    here.
+    Requests sharing this key share the plans that recur across seeds:
+    group partitions, header codecs and the colorings of uniform announce
+    demands.  Most colorings are of demand matrices built from the
+    instance's own data, so the seed changes them; the plan cache stores
+    those only if they recur.  :func:`structural_warmup` dedupes
+    through here.
     """
     return (req.kind, req.family, req.n, req.algorithm, req.engine)
 
@@ -188,10 +192,13 @@ def structural_warmup(
 
     Runs the first request of every distinct :func:`structural_key` group,
     at most ``max_runs`` of them, in the calling process, so the plans
-    they build are resident before a worker pool starts (the gateway
-    ships the snapshot to its workers).  Returns the summaries by request
-    index: the batch service splices them back into its results; a stream
-    has no fixed membership to splice into and drops them.
+    that recur are resident before a worker pool starts (the gateway
+    ships the snapshot to its workers).  The cache stores a plan on its
+    second computation, so what becomes resident is what these runs and
+    earlier work in this process computed twice.  Returns the summaries
+    by request index: the batch service splices them back into its
+    results; a stream has no fixed membership to splice into and drops
+    them.
 
     A ``chaos:`` request is never picked.  Warmup runs in the calling
     process, where a fault (worst case ``chaos:kill``) would take down the

@@ -33,8 +33,10 @@ Architecture::
 * **Warm workers.**  The process backend ships the parent's
   :class:`~repro.core.context.PlanCache` snapshot to every pool worker at
   start (``snapshot()/warm()``), and
-  :func:`~repro.service.batch.structural_warmup` pre-populates the parent
-  cache from one representative request per distinct structural group.
+  :func:`~repro.service.batch.structural_warmup` runs one representative
+  request per distinct structural group in the parent first.  The cache
+  stores a plan on its second computation, so the snapshot carries only
+  plans the parent computed twice: the ones that recur.
   The thread backend shares the process-wide plan cache outright — it
   exists for environments where process pools are unavailable
   (restricted sandboxes, embedded interpreters); the GIL serializes
@@ -852,9 +854,10 @@ def serve(
 ) -> StreamReport:
     """Run one full open-loop stream to completion (sync entry point).
 
-    Warms the parent plan cache from structural representatives (shipped
-    to process-backend workers), replays the arrival timeline through a
-    fresh :class:`StreamGateway`, drains it, and rolls up the report.
+    Runs structural representatives in the parent first (the plans they
+    computed twice are shipped to process-backend workers), replays the
+    arrival timeline through a fresh :class:`StreamGateway`, drains it,
+    and rolls up the report.
 
     ``record`` names a capture file: every submitted request (with its
     observed arrival offset) and every resolved summary is appended to it

@@ -8,8 +8,12 @@ The regression tests here pin the two properties ISSUE 3 fixed:
   other's toggle;
 * the cache's bounded store evicts strictly FIFO, with hit/miss/eviction
   counters that a model-based property test can predict exactly.
+
+A plan is stored on its second computation, so a test that needs a stored
+plan computes it twice (:func:`_store_plan`).
 """
 
+import sys
 import threading
 from collections import OrderedDict
 
@@ -23,11 +27,26 @@ from repro.core.errors import ProtocolError
 
 @pytest.fixture
 def clean_plan_cache():
-    """The process-wide cache, emptied, with counters rebased afterwards."""
+    """The process-wide cache, emptied, with counters rebased afterwards.
+
+    ``clear()`` keeps the history, so the fixture empties it too: whether
+    a key is stored on its next computation must not depend on which
+    tests ran before.
+    """
     pc = plan_cache()
     pc.clear()
+    pc._history.clear()
     yield pc
     pc.clear()
+    pc._history.clear()
+
+
+def _store_plan(cache, key, value):
+    """Compute ``key`` twice: the first sighting is only remembered, the
+    second stores the plan."""
+    for _ in range(2):
+        assert cache.compute(key, lambda: value) == value
+    assert cache._store[key] == value
 
 
 # -- scoped verify bypass ----------------------------------------------------
@@ -69,7 +88,7 @@ def test_verify_bypass_does_not_clobber_global_toggle(clean_plan_cache):
         # run's view of the process-wide cache must be untouched: still
         # enabled, still serving hits, still counting.
         assert pc.enabled
-        assert pc.compute("probe", lambda: "fresh") == "fresh"
+        _store_plan(pc, "probe", "fresh")
         hits_before = pc.hits
         assert pc.compute("probe", lambda: "stale") == "fresh"
         assert pc.hits == hits_before + 1
@@ -82,7 +101,7 @@ def test_verify_bypass_does_not_clobber_global_toggle(clean_plan_cache):
 
 def test_verify_bypass_is_reentrant(clean_plan_cache):
     pc = clean_plan_cache
-    pc.compute("k", lambda: "cached")
+    _store_plan(pc, "k", "cached")
     with pc.bypassed():
         with pc.bypassed():
             assert pc.compute("k", lambda: "inner") == "inner"
@@ -94,13 +113,16 @@ def test_verify_bypass_is_reentrant(clean_plan_cache):
 
 def test_bypassed_scope_leaves_counters_untouched(clean_plan_cache):
     pc = clean_plan_cache
-    pc.compute("k", lambda: 1)
+    _store_plan(pc, "k", 1)
     stats_before = (pc.hits, pc.misses, pc.evictions)
     with pc.bypassed():
         pc.compute("k", lambda: 2)
         pc.compute("other", lambda: 3)
+        pc.compute("other", lambda: 3)
     assert (pc.hits, pc.misses, pc.evictions) == stats_before
-    assert "other" not in pc._store
+    assert pc._store == {"k": 1}
+    # A bypassed compute is not a sighting either.
+    assert hash("other") not in pc._history
 
 
 def test_bypassed_is_per_cache_instance(clean_plan_cache):
@@ -108,7 +130,7 @@ def test_bypassed_is_per_cache_instance(clean_plan_cache):
     that happen to compute within the bypass scope.
     """
     other = PlanCache()
-    other.compute("k", lambda: "cached")
+    _store_plan(other, "k", "cached")
     with clean_plan_cache.bypassed():
         assert other.compute("k", lambda: "fresh") == "cached"
         assert other.hits == 1
@@ -125,11 +147,13 @@ def test_verify_mode_recompute_is_genuine(clean_plan_cache):
         calls.append(1)
         return len(calls)  # nondeterministic on purpose
 
+    _store_plan(clean_plan_cache, "plan", 0)  # the plan cache is warm
     shared = SharedCache(verify_mode=True)
-    assert shared.compute("s", lambda: planned("plan", build)) == 1
+    assert shared.compute("s", lambda: planned("plan", build)) == 0
+    assert not calls, "a warm plan is replayed, not rebuilt"
     with pytest.raises(ProtocolError, match="not .*deterministic"):
         shared.compute("s", lambda: planned("plan", build))
-    assert len(calls) == 2, "verify hit must have recomputed the plan"
+    assert len(calls) == 1, "verify hit must have recomputed the plan"
 
 
 def test_verify_mode_still_passes_for_deterministic_plans(clean_plan_cache):
@@ -149,11 +173,13 @@ def test_verify_mode_still_passes_for_deterministic_plans(clean_plan_cache):
     accesses=st.lists(st.integers(min_value=0, max_value=15), max_size=60),
 )
 def test_fifo_eviction_model(maxsize, accesses):
-    """Model-based check: store contents, insertion order, and the
-    hit/miss/eviction counters all match an OrderedDict FIFO oracle.
+    """Model-based check: store and history contents, their insertion
+    order, and the hit/miss/eviction counters all match an OrderedDict
+    FIFO oracle that stores a plan on its second computation.
     """
     cache = PlanCache(maxsize=maxsize)
     model = OrderedDict()
+    history = OrderedDict()
     hits = misses = evictions = 0
     for key in accesses:
         if key in model:
@@ -164,11 +190,17 @@ def test_fifo_eviction_model(maxsize, accesses):
             misses += 1
             value = f"plan-{key}"
             assert cache.compute(key, lambda v=value: v) == value
-            if len(model) >= maxsize:
-                model.popitem(last=False)
-                evictions += 1
-            model[key] = value
+            if hash(key) not in history:
+                if len(history) >= maxsize:
+                    history.popitem(last=False)
+                history[hash(key)] = None
+            else:
+                if len(model) >= maxsize:
+                    model.popitem(last=False)
+                    evictions += 1
+                model[key] = value
         assert list(cache._store) == list(model)
+        assert list(cache._history) == list(history)
     assert cache.hits == hits
     assert cache.misses == misses
     assert cache.evictions == evictions
@@ -179,10 +211,10 @@ def test_fifo_eviction_model(maxsize, accesses):
 def test_eviction_order_is_insertion_not_recency():
     """FIFO, not LRU: re-hitting the oldest plan does not save it."""
     cache = PlanCache(maxsize=2)
-    cache.compute("a", lambda: 1)
-    cache.compute("b", lambda: 2)
+    _store_plan(cache, "a", 1)
+    _store_plan(cache, "b", 2)
     cache.compute("a", lambda: 0)  # hit; must not refresh a's age
-    cache.compute("c", lambda: 3)  # evicts a (oldest inserted)
+    _store_plan(cache, "c", 3)  # evicts a (oldest inserted)
     assert list(cache._store) == ["b", "c"]
     assert cache.evictions == 1
 
@@ -221,20 +253,59 @@ def test_concurrent_eviction_never_raises():
     assert len(cache) <= 8 + 4
 
 
+def test_concurrent_admission_never_raises():
+    """The history is shared the same way as the store: four threads
+    recording, admitting and evicting at once under a short switch
+    interval must never fail a plan computation, and both tables stay
+    within one entry per racing thread of their bound.
+    """
+    cache = PlanCache(maxsize=8)
+    errors = []
+    barrier = threading.Barrier(4, timeout=10)
+
+    def hammer(worker):
+        try:
+            barrier.wait()
+            for i in range(2000):
+                for _ in range(2):  # the second computation stores it
+                    assert cache.compute((worker, i), lambda: i) == i
+        except BaseException as exc:  # pragma: no cover - the regression
+            errors.append(exc)
+            raise
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=hammer, args=(w,)) for w in range(4)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert len(cache) <= 8 + 4
+    assert len(cache._history) <= 8 + 4
+    assert cache.evictions > 0
+
+
 # -- snapshots / warmup ------------------------------------------------------
 
 
 def test_snapshot_filters_unpicklable_plans():
     cache = PlanCache()
-    cache.compute("good", lambda: (1, 2))
-    cache.compute("bad", lambda: (lambda: None))  # lambdas do not pickle
+    _store_plan(cache, "good", (1, 2))
+    _store_plan(cache, "bad", lambda: None)  # lambdas do not pickle
     snap = cache.snapshot()
     assert snap == {"good": (1, 2)}
 
 
 def test_warm_respects_existing_entries_maxsize_and_counters():
     cache = PlanCache(maxsize=3)
-    cache.compute("a", lambda: "mine")
+    _store_plan(cache, "a", "mine")
     counters_before = (cache.hits, cache.misses, cache.evictions)
     adopted = cache.warm({"a": "theirs", "b": 2, "c": 3, "d": 4})
     assert adopted == 2  # b and c; a exists, d over maxsize
@@ -251,5 +322,8 @@ def test_disable_enable_roundtrip():
     assert cache.compute("k", lambda: 1) == 1
     assert len(cache) == 0 and cache.misses == 0
     cache.enable()
+    # A disabled compute is not a sighting: the first enabled one is.
     assert cache.compute("k", lambda: 1) == 1
-    assert len(cache) == 1 and cache.misses == 1
+    assert len(cache) == 0 and cache.misses == 1
+    assert cache.compute("k", lambda: 1) == 1
+    assert len(cache) == 1 and cache.misses == 2
