@@ -50,7 +50,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
         epilog=(
             "For batched throughput over many instances, see "
-            "`python -m repro.service`; for the differential scenario "
+            "`python -m repro.service batch`; for the differential scenario "
             "sweep, `python -m repro.scenarios`."
         ),
     )

@@ -262,7 +262,7 @@ DEFAULT_MIX = (
 
 
 #: Composition of the network service's loopback selfcheck
-#: (``python -m repro.service.net selfcheck`` and CI's ``net-smoke``):
+#: (``python -m repro.service selfcheck`` and CI's ``net-smoke``):
 #: every family in the taxonomy appears — the point of the differential
 #: is coverage of the wire path, not realism of the traffic blend — with
 #: extra weight on the routing families whose instances stress the

@@ -43,20 +43,17 @@ blackholes and byte corruption against the RPC byte stream — is
 
 Command line::
 
-    python -m repro.service.chaos --requests 24 --kills 1 --poisons 2
-    python -m repro.service.chaos --record chaos.jsonl --json
+    python -m repro.service chaos --requests 24 --kills 1 --poisons 2
+    python -m repro.service chaos --record chaos.jsonl --json
 
 See DESIGN.md section 9 for the semantics.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import random
 import signal
-import sys
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
@@ -359,125 +356,3 @@ def run_chaos(
         baseline_digest=baseline_digest,
         stream=chaos_report,
     )
-
-
-# -- CLI ----------------------------------------------------------------------
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.service.chaos",
-        description=(
-            "Fault-injection harness for the streaming gateway: worker "
-            "kills, poison requests, and stragglers against a live pool, "
-            "gated on recovery, digest correctness, and bounded p99."
-        ),
-    )
-    parser.add_argument(
-        "--requests", type=int, default=24, metavar="N",
-        help="workload size before faults (default 24)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=2, metavar="W",
-        help="gateway workers / pool size (default 2)",
-    )
-    parser.add_argument(
-        "--kills", type=int, default=1,
-        help="worker-kill faults to plant (default 1)",
-    )
-    parser.add_argument(
-        "--poisons", type=int, default=2,
-        help="poison (engine-crash) requests to plant (default 2)",
-    )
-    parser.add_argument(
-        "--straggler-frac", type=float, default=0.25, metavar="F",
-        help="fraction of clean requests slowed down (default 0.25)",
-    )
-    parser.add_argument(
-        "--straggler-ms", type=float, default=100.0, metavar="MS",
-        help="straggler injected delay (default 100ms)",
-    )
-    parser.add_argument(
-        "--rate", type=float, default=0.0, metavar="R",
-        help="uniform arrival rate per second; 0 = saturated (default)",
-    )
-    parser.add_argument(
-        "--engine", default="fast",
-        help="execution engine for every run (default: fast)",
-    )
-    parser.add_argument(
-        "--scenario-mix", default=DEFAULT_MIX, metavar="MIX",
-        help="weighted kind/family:weight mix (see repro.service)",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--p99-factor", type=float, default=4.0,
-        help="p99 bound: factor*(clean_p99+straggler_ms)+slack (default 4)",
-    )
-    parser.add_argument(
-        "--p99-slack-ms", type=float, default=500.0,
-        help="additive slack on the p99 bound (default 500ms)",
-    )
-    parser.add_argument(
-        "--no-clean-baseline", action="store_true",
-        help="skip the clean twin run (disables the p99 gate)",
-    )
-    parser.add_argument(
-        "--record", default=None, metavar="PATH",
-        help="capture the chaos run's traffic for replay/forensics",
-    )
-    parser.add_argument("--json", action="store_true")
-    args = parser.parse_args(argv)
-
-    try:
-        report = run_chaos(
-            count=args.requests,
-            workers=args.workers,
-            engine=args.engine,
-            kills=args.kills,
-            poisons=args.poisons,
-            straggler_frac=args.straggler_frac,
-            straggler_ms=args.straggler_ms,
-            rate=args.rate,
-            mix=args.scenario_mix,
-            seed=args.seed,
-            p99_factor=args.p99_factor,
-            p99_slack_ms=args.p99_slack_ms,
-            compare_clean=not args.no_clean_baseline,
-            record=args.record,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-
-    doc = report.to_dict()
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        c = report.counts
-        print(
-            f"chaos: {c['offered']} offered "
-            f"({c['kills']} kills, {c['poisons']} poisons, "
-            f"{c['stragglers']} stragglers) -> {c['completed']} completed, "
-            f"{c['failed']} failed, {report.pool_replacements} pool "
-            f"replacement(s), {c['post_kill_completed']} completions after "
-            f"the last kill"
-        )
-        print(
-            f"p99: clean {report.p99_clean_ms:.1f}ms, chaos "
-            f"{report.p99_chaos_ms:.1f}ms (bound {report.p99_bound_ms:.1f}ms)"
-        )
-        print(
-            f"digest: chaos {report.chaos_digest or '-'} vs sequential "
-            f"baseline {report.baseline_digest or '-'}"
-        )
-        for gate, passed in report.gates.items():
-            print(f"gate {gate}: {'pass' if passed else 'FAIL'}")
-    if not report.ok:
-        failed = [g for g, p in report.gates.items() if not p]
-        print(f"chaos gates FAILED: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

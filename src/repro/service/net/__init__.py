@@ -26,15 +26,14 @@ per-request pickle on the wire.  Layers, bottom-up:
 The wire format's normative specification is ``docs/PROTOCOL.md``;
 ``tests/test_net_protocol_doc.py`` pins the two together.
 
-Command line::
+Command line (verbs of ``python -m repro.service``)::
 
-    python -m repro.service.net serve --port 7707 --workers 4
-    python -m repro.service.net client --port 7707 --batch 64
-    python -m repro.service.net selfcheck --batch 256
-    python -m repro.service.net selfcheck --resilient --toxic latency:5 \
+    python -m repro.service serve --port 7707 --workers 4
+    python -m repro.service client --port 7707 --requests 64
+    python -m repro.service selfcheck --requests 256
+    python -m repro.service selfcheck --resilient --toxic latency:5 \
         --toxic disconnect:65536
-    python -m repro.service.net soak --duration 60 --flap-every 3
-    python -m repro.service.net bench --batch 64
+    python -m repro.service soak --duration 60 --flap-every 3
 
 See DESIGN.md section 12.
 """

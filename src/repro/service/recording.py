@@ -43,17 +43,15 @@ the whole capture.
 
 Command line::
 
-    python -m repro.service.recording info capture.jsonl
-    python -m repro.service.recording replay capture.jsonl --workers 2
+    python -m repro.service capture info capture.jsonl
+    python -m repro.service capture replay capture.jsonl --workers 2
 
 See DESIGN.md section 9 for the semantics.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
 import time
 import zlib
 from dataclasses import asdict, dataclass, field, fields
@@ -534,86 +532,3 @@ def replay_capture(
         replayed_statuses=[s.status for s in report.summaries],
         stream_report=report,
     )
-
-
-# -- CLI ----------------------------------------------------------------------
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.service.recording",
-        description=(
-            "Inspect and replay repro-capture traffic recordings "
-            "(record one with: python -m repro.service.stream --record "
-            "PATH, or python -m repro.service --record PATH)."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_info = sub.add_parser("info", help="print a capture's header and counts")
-    p_info.add_argument("capture", help="capture file path")
-    p_info.add_argument("--json", action="store_true")
-
-    p_replay = sub.add_parser(
-        "replay",
-        help="re-feed a capture through a live gateway and compare digests",
-    )
-    p_replay.add_argument("capture", help="capture file path")
-    p_replay.add_argument("--workers", type=int, default=2)
-    p_replay.add_argument(
-        "--backend", default="process", choices=("process", "thread")
-    )
-    p_replay.add_argument(
-        "--timescale", type=float, default=1.0,
-        help="arrival-offset multiplier; 0 = saturated replay (default 1)",
-    )
-    p_replay.add_argument("--json", action="store_true")
-
-    args = parser.parse_args(argv)
-    try:
-        capture = load_capture(args.capture)
-    except CaptureError as exc:
-        print(f"capture error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.command == "info":
-        doc = {
-            "format": CAPTURE_FORMAT,
-            "version": capture.version,
-            "meta": capture.meta,
-            "requests": len(capture.events),
-            "summaries": len(capture.summaries),
-            "resolved": len(capture.resolved_summaries()),
-            "statuses": {
-                s: capture.statuses().count(s)
-                for s in sorted(set(capture.statuses()))
-            },
-            "capture_digest": capture.capture_digest(),
-            "has_metrics": capture.metrics is not None,
-        }
-        if args.json:
-            print(json.dumps(doc, indent=2, sort_keys=True))
-        else:
-            for key, value in doc.items():
-                print(f"{key}: {value}")
-        return 0
-
-    report = replay_capture(
-        capture,
-        workers=args.workers,
-        backend=args.backend,
-        timescale=args.timescale,
-    )
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(
-            f"replayed {len(capture.events)} requests: capture digest "
-            f"{report.capture_digest} vs replay {report.replay_digest} -> "
-            f"{'match' if report.digests_match else 'MISMATCH'}"
-        )
-    return 0 if report.ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -65,8 +65,8 @@ Architecture::
 
 Command line::
 
-    python -m repro.service.stream --rate 8 --duration 2 --workers 2
-    python -m repro.service.stream --rate 0 --requests 64 --workers 4 \
+    python -m repro.service stream --rate 8 --duration 2 --workers 2
+    python -m repro.service stream --rate 0 --requests 64 --workers 4 \
         --backend process --selfcheck --json   # saturated throughput mode
 
 See DESIGN.md section 7 for the semantics.
@@ -74,11 +74,8 @@ See DESIGN.md section 7 for the semantics.
 
 from __future__ import annotations
 
-import argparse
 import asyncio
-import json
 import pickle
-import sys
 import time
 from concurrent.futures import (
     BrokenExecutor,
@@ -100,14 +97,7 @@ from ..core.engine import (
     available_engines,
 )
 from ..core.metrics import LatencyHistogram
-from ..scenarios.generators import DEFAULT_MIX, arrival_times, mixed_batch
-from .batch import (
-    BatchService,
-    execute_request,
-    requests_from_scenarios,
-    structural_warmup,
-    summaries_digest,
-)
+from .batch import execute_request, structural_warmup, summaries_digest
 from .transport import decode_summaries, encode_requests, run_envelope
 
 __all__ = [
@@ -927,217 +917,3 @@ def serve(
         )
 
     return asyncio.run(_main())
-
-
-# -- CLI ---------------------------------------------------------------------
-
-
-def _render(report: StreamReport, arrivals_label: str) -> str:
-    from ..analysis import render_table
-
-    doc = report.to_dict()
-    metrics = doc["metrics"]
-    rows = []
-    for label in ("latency", "queue_wait", "service"):
-        h = metrics[label]
-        rows.append([
-            label,
-            h["count"],
-            f"{h['p50_ms']:.1f}",
-            f"{h['p95_ms']:.1f}",
-            f"{h['p99_ms']:.1f}",
-            f"{h['max_ms']:.1f}",
-        ])
-    table = render_table(
-        f"stream gateway [{report.backend}, workers={report.workers}, "
-        f"queue<={report.queue_cap}, policy={report.policy}]",
-        ["metric", "count", "p50 ms", "p95 ms", "p99 ms", "max ms"],
-        rows,
-    )
-    lines = [
-        table,
-        f"stream: {doc['offered']} offered ({arrivals_label}) -> "
-        f"{doc['completed']} completed, {doc['rejected']} rejected, "
-        f"{doc['cancelled']} cancelled, {doc['failed']} failed in "
-        f"{report.wall_s:.2f}s ({report.throughput:.1f} instances/s "
-        f"sustained)",
-        f"queue depth: max {metrics['queue_depth_max']}, "
-        f"mean {metrics['queue_depth_mean']}; digest "
-        f"{doc['stream_digest']}",
-    ]
-    return "\n".join(lines)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.service.stream",
-        description=(
-            "Open-loop streaming gateway over the congested-clique "
-            "simulator: Poisson (or uniform/saturated) arrivals, bounded "
-            "queue with backpressure, per-request deadlines, tail-latency "
-            "metrics."
-        ),
-    )
-    parser.add_argument(
-        "--rate", type=float, default=8.0, metavar="R",
-        help="arrival rate per second; 0 = saturated (all at t=0)",
-    )
-    parser.add_argument(
-        "--duration", type=float, default=2.0, metavar="D",
-        help="seconds of offered arrivals; requests = rate * duration",
-    )
-    parser.add_argument(
-        "--requests", type=int, default=None, metavar="N",
-        help="exact request count (overrides rate * duration)",
-    )
-    parser.add_argument(
-        "--arrivals", default="poisson",
-        choices=("poisson", "uniform", "saturated", "bursty"),
-        help="arrival process (default: poisson; --rate 0 forces saturated)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=2, metavar="W",
-        help="concurrent executions / pool size (default 2)",
-    )
-    parser.add_argument(
-        "--queue-cap", type=int, default=64, metavar="Q",
-        help="request queue bound (default 64)",
-    )
-    parser.add_argument(
-        "--policy", default="reject", choices=POLICIES,
-        help="backpressure policy when the queue is full (default: reject)",
-    )
-    parser.add_argument(
-        "--deadline-ms", type=float, default=None, metavar="MS",
-        help="default per-request latency budget; omit for no deadline",
-    )
-    parser.add_argument(
-        "--backend", default="process", choices=BACKENDS,
-        help="executor backend (default: process)",
-    )
-    parser.add_argument(
-        "--micro-batch", type=int, default=1, metavar="K",
-        help=(
-            "coalesce up to K queued requests into one executor hop, "
-            "adapted to queue depth (default 1: per-request dispatch)"
-        ),
-    )
-    parser.add_argument(
-        "--engine", default="fast", choices=available_engines(),
-        help="execution engine for every run (default: fast)",
-    )
-    parser.add_argument(
-        "--scenario-mix", default=DEFAULT_MIX, metavar="MIX",
-        help="weighted kind/family:weight mix (see repro.service)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="base seed for workloads and the arrival process (default 0)",
-    )
-    parser.add_argument(
-        "--no-warmup", action="store_true",
-        help="skip the structural plan-cache warmup pass",
-    )
-    parser.add_argument(
-        "--record", default=None, metavar="PATH",
-        help=(
-            "append every request/summary envelope plus arrival offsets "
-            "to a capture file (replay with python -m "
-            "repro.service.recording)"
-        ),
-    )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="emit the machine-readable report instead of tables",
-    )
-    parser.add_argument(
-        "--selfcheck", action="store_true",
-        help=(
-            "re-run the completed requests on the sequential batch backend "
-            "and require byte-identical digests (CI smoke mode)"
-        ),
-    )
-    args = parser.parse_args(argv)
-
-    if args.requests is not None:
-        count = args.requests
-    elif args.rate <= 0:
-        parser.error(
-            "--rate 0 (saturated mode) has no arrival clock to derive a "
-            "request count from; give an explicit --requests"
-        )
-    else:
-        count = int(args.rate * args.duration)
-    if count < 1:
-        parser.error("need at least one request (--requests or rate*duration)")
-    process = "saturated" if args.rate <= 0 else args.arrivals
-    try:
-        scenarios = mixed_batch(count, mix=args.scenario_mix, seed0=args.seed)
-        arrivals = arrival_times(
-            process, max(args.rate, 1e-9), count, seed=args.seed
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-    requests = requests_from_scenarios(scenarios, engine=args.engine)
-
-    report = serve(
-        requests,
-        arrivals,
-        workers=args.workers,
-        engine=args.engine,
-        backend=args.backend,
-        queue_cap=args.queue_cap,
-        policy=args.policy,
-        deadline_ms=args.deadline_ms,
-        micro_batch=args.micro_batch,
-        warmup=not args.no_warmup,
-        record=args.record,
-    )
-
-    doc = report.to_dict()
-    selfcheck_ok = True
-    if args.selfcheck:
-        done = [s.request for s in report.completed]
-        if done:
-            baseline = BatchService(workers=0, engine=args.engine).run_batch(
-                done
-            )
-            selfcheck_ok = (
-                baseline.ok
-                and baseline.batch_digest() == report.stream_digest()
-            )
-            doc["selfcheck"] = {
-                "sequential_digest": baseline.batch_digest(),
-                "match": selfcheck_ok,
-            }
-        else:
-            selfcheck_ok = False
-            doc["selfcheck"] = {"sequential_digest": "", "match": False}
-
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        label = f"{process} @ {args.rate:g}/s"
-        print(_render(report, label))
-        if args.selfcheck:
-            status = "match" if selfcheck_ok else "MISMATCH"
-            print(
-                f"selfcheck: sequential backend digest "
-                f"{doc['selfcheck']['sequential_digest']} -> {status}"
-            )
-
-    if not report.ok:
-        for s in report.failures:
-            print(f"FAIL {s.request.name}: {s.error}", file=sys.stderr)
-        return 1
-    if not selfcheck_ok:
-        print(
-            "selfcheck FAILED: stream and sequential backend disagree",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

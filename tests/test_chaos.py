@@ -34,7 +34,7 @@ from repro.service import (
     serve,
     structural_warmup,
 )
-from repro.service.chaos import main as chaos_main
+from repro.service.__main__ import main
 
 SMALL_SIZES = dict(
     routing_sizes=(16,), sorting_sizes=(16,), multiplex_sizes=(16,)
@@ -275,6 +275,6 @@ def test_idle_worker_death_is_replaced_at_submit():
 
 def test_chaos_cli_rejects_impossible_plan(capsys):
     with pytest.raises(SystemExit) as exc:
-        chaos_main(["--requests", "3", "--kills", "2", "--poisons", "1"])
+        main(["chaos", "--requests", "3", "--kills", "2", "--poisons", "1"])
     assert exc.value.code == 2
     assert "at least" in capsys.readouterr().err

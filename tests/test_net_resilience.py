@@ -807,12 +807,12 @@ def test_flap_times_validates_its_arguments():
 
 
 def test_cli_selfcheck_resilient_through_the_fault_proxy(capsys):
-    from repro.service.net.__main__ import main as net_main
+    from repro.service.__main__ import main
 
-    rc = net_main(
+    rc = main(
         [
             "selfcheck",
-            "--batch", "12",
+            "--requests", "12",
             "--workers", "2",
             "--resilient",
             "--toxic", "latency:1",
@@ -824,9 +824,9 @@ def test_cli_selfcheck_resilient_through_the_fault_proxy(capsys):
 
 
 def test_cli_soak_passes_all_four_gates(capsys):
-    from repro.service.net.__main__ import main as net_main
+    from repro.service.__main__ import main
 
-    rc = net_main(
+    rc = main(
         [
             "soak",
             "--duration", "2",

@@ -25,10 +25,10 @@ from repro.service import (
     requests_from_scenarios,
     serve,
 )
+from repro.service.__main__ import main
 from repro.service.recording import (
     CAPTURE_VERSION,
     CaptureWriter,
-    main as recording_main,
     request_from_doc,
     request_to_doc,
     summary_from_doc,
@@ -275,13 +275,14 @@ def test_envelope_docs_roundtrip_and_reject_unknown_fields(tmp_path):
 def test_recording_cli_info_and_replay(tmp_path, capsys):
     path = tmp_path / "trace.jsonl"
     _capture_stream(path, batch=3)
-    assert recording_main(["info", str(path), "--json"]) == 0
+    assert main(["capture", "info", str(path), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["requests"] == 3
     assert doc["resolved"] == 3
 
-    code = recording_main(
-        ["replay", str(path), "--backend", "thread", "--timescale", "0"]
+    code = main(
+        ["capture", "replay", str(path), "--backend", "thread",
+         "--timescale", "0"]
     )
     out = capsys.readouterr().out
     assert code == 0
@@ -291,5 +292,5 @@ def test_recording_cli_info_and_replay(tmp_path, capsys):
 def test_recording_cli_rejects_corrupt_capture(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("not json at all\n", encoding="utf-8")
-    assert recording_main(["info", str(bad)]) == 2
+    assert main(["capture", "info", str(bad)]) == 2
     assert "capture error" in capsys.readouterr().err

@@ -23,7 +23,7 @@ from repro.service import (
     execute_request,
     requests_from_scenarios,
 )
-from repro.service.__main__ import main as service_main
+from repro.service.__main__ import main
 
 BATCH = 256
 SMALL_SIZES = dict(
@@ -230,8 +230,9 @@ def test_parse_mix_and_mixed_batch_errors():
 
 
 def test_cli_json_sequential(capsys):
-    code = service_main(
-        ["--batch", "8", "--workers", "0", "--engine", "fast", "--json"]
+    code = main(
+        ["batch", "--requests", "8", "--workers", "0", "--engine", "fast",
+         "--json"]
     )
     out = capsys.readouterr().out
     doc = json.loads(out)
@@ -243,9 +244,9 @@ def test_cli_json_sequential(capsys):
 
 
 def test_cli_selfcheck_pooled(capsys):
-    code = service_main(
+    code = main(
         [
-            "--batch", "6", "--workers", "2", "--engine", "fast",
+            "batch", "--requests", "6", "--workers", "2", "--engine", "fast",
             "--selfcheck", "--json",
         ]
     )
@@ -259,4 +260,37 @@ def test_cli_selfcheck_pooled(capsys):
 
 def test_cli_rejects_bad_mix(capsys):
     with pytest.raises(SystemExit):
-        service_main(["--scenario-mix", "routing/never"])
+        main(["batch", "--scenario-mix", "routing/never"])
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["batch", "--requests", "0"], "must be >= 1"),
+        (["stream", "--engine", "bogus"], "invalid choice: 'bogus'"),
+        (["chaos", "--scenario-mix", "routing/never"], "bad mix entry"),
+        (["capture", "replay", "trace.jsonl", "--backend", "bogus"],
+         "invalid choice: 'bogus'"),
+        (["serve", "--engine", "bogus"], "invalid choice: 'bogus'"),
+        (["client", "--chunk", "0"], "must be >= 1"),
+        (["selfcheck", "--requests", "4", "--engine", "bogus"],
+         "invalid choice: 'bogus'"),
+        (["selfcheck", "--requests", "0"], "must be >= 1"),
+        (["selfcheck", "--requests", "4", "--chunk", "0"], "must be >= 1"),
+        (["selfcheck", "--queue-cap", "0"], "must be >= 1"),
+        (["soak", "--duration", "1", "--rate", "2",
+          "--scenario-mix", "routing/never"], "bad mix entry"),
+        (["soak", "--rate", "0"], "need rate > 0"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_cli_bad_input_is_a_usage_error(argv, error, capsys):
+    """Every verb answers a bad value with its own usage and exit code 2,
+    before it starts a server, a pool or a workload."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    verb = argv[:2] if argv[0] == "capture" else argv[:1]
+    assert f"usage: python -m repro.service {' '.join(verb)} " in err
+    assert error in err

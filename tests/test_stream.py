@@ -30,7 +30,7 @@ from repro.service import (
     summaries_digest,
 )
 from repro.service import stream as stream_mod
-from repro.service.stream import main as stream_main
+from repro.service.__main__ import main
 from repro.service.stream import replay
 
 SMALL_SIZES = dict(
@@ -514,8 +514,8 @@ def test_report_roundtrips_to_json():
 
 
 def test_cli_saturated_selfcheck_json(capsys):
-    code = stream_main([
-        "--rate", "0", "--requests", "8", "--workers", "2",
+    code = main([
+        "stream", "--rate", "0", "--requests", "8", "--workers", "2",
         "--backend", "thread", "--policy", "block", "--selfcheck", "--json",
     ])
     doc = json.loads(capsys.readouterr().out)
@@ -529,8 +529,8 @@ def test_cli_saturated_selfcheck_json(capsys):
 
 
 def test_cli_poisson_table_output(capsys):
-    code = stream_main([
-        "--rate", "40", "--duration", "0.2", "--workers", "1",
+    code = main([
+        "stream", "--rate", "40", "--duration", "0.2", "--workers", "1",
         "--backend", "thread",
     ])
     out = capsys.readouterr().out
@@ -542,13 +542,13 @@ def test_cli_poisson_table_output(capsys):
 
 def test_cli_rejects_bad_mix():
     with pytest.raises(SystemExit):
-        stream_main(["--scenario-mix", "routing/never"])
+        main(["stream", "--scenario-mix", "routing/never"])
 
 
 def test_cli_saturated_mode_requires_explicit_request_count(capsys):
     # --rate 0 has no arrival clock to derive a count from; silently
     # running a single request would print a meaningless 1-sample report.
     with pytest.raises(SystemExit) as exc:
-        stream_main(["--rate", "0"])
+        main(["stream", "--rate", "0"])
     assert exc.value.code == 2
     assert "--requests" in capsys.readouterr().err
