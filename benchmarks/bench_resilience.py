@@ -2,7 +2,7 @@
 
 A threaded server behind the wire-level fault proxy
 (:mod:`repro.service.net.faultproxy`), driven by the reconnecting
-:class:`~repro.service.net.resilience.ResilientClient`.  Three kinds of
+:class:`~repro.service.net.client.Client`.  Three kinds of
 rows land in ``BENCH_engines.json`` under the ``resilience`` section:
 
 * **recovery** — time from a forced mid-session disconnect (the proxy
@@ -31,13 +31,9 @@ import time
 from repro.scenarios import remote_selfcheck_batch
 from repro.service import requests_from_scenarios
 from repro.service.batch import execute_request, summaries_digest
-from repro.service.net import ServerThread
+from repro.service.net import Client, ServerThread
 from repro.service.net.faultproxy import ProxyThread
-from repro.service.net.resilience import (
-    BackoffPolicy,
-    CircuitBreaker,
-    ResilientClient,
-)
+from repro.service.net.resilience import BackoffPolicy, CircuitBreaker
 
 BATCH = 48
 ENGINE = "fast"
@@ -66,7 +62,7 @@ def _percentile(sorted_values, q):
 
 
 def _client(proxy):
-    return ResilientClient(
+    return Client(
         proxy.host,
         proxy.port,
         timeout=5,
@@ -218,8 +214,8 @@ def test_bench_resilience_faulty_wire(benchmark, table_printer, bench_json):
         {
             "description": (
                 f"{BATCH}-instance full-taxonomy batch driven by "
-                f"ResilientClient through the wire-level fault proxy; "
-                f"recovery rows time forced-disconnect -> next completed "
+                f"the reconnecting Client through the wire-level fault "
+                f"proxy; recovery rows time forced-disconnect -> next completed "
                 f"request ({FLAPS} flaps); corrupt_1pct flips one byte "
                 f"per proxied chunk with p={CORRUPT_PROB} over "
                 f"{GOODPUT_PASSES} single-request-envelope passes and "

@@ -2,10 +2,10 @@
 
 Runs the paper's two headline algorithms on an ``n``-node simulated clique
 (default 25) and prints the measured round budgets next to the theorem
-bounds.  ``--engine`` selects the round-loop driver (``reference``,
-``fast``, ``fast-audit``, ``fast-unchecked``); ``--repeat`` re-runs every
-algorithm K times so repeated instances warm the process-wide plan cache —
-the table then reports first-run and best wall time side by side, showing
+bounds.  ``--engine`` selects the engine that runs the round loop
+(``reference`` or ``fast``); ``--repeat`` re-runs every algorithm K
+times so repeated instances warm the process-wide plan cache — the
+table then reports first-run and best wall time side by side, showing
 the cross-run amortization the wire data plane provides.
 """
 

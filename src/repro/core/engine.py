@@ -20,9 +20,9 @@ Two engines ship with the package:
   protocol — the engine-equivalence suite enforces this — but a protocol
   that *violates* the model may slip through a sampled audit.
 
-Select an engine by name (``"reference"``, ``"fast"``, ``"fast-audit"``,
-``"fast-unchecked"``), by instance (for custom tuning), or register your
-own with :func:`register_engine`::
+Select an engine by name (``"reference"``, ``"fast"``), by instance (for
+custom tuning, such as ``FastEngine(validation="full")`` to audit every
+packet), or register your own with :func:`register_engine`::
 
     from repro import CongestedClique
     from repro.core.engine import FastEngine
@@ -683,5 +683,3 @@ def get_engine(spec: EngineSpec) -> ExecutionEngine:
 
 register_engine("reference", ReferenceEngine)
 register_engine("fast", FastEngine)
-register_engine("fast-audit", lambda: FastEngine(validation="full"))
-register_engine("fast-unchecked", lambda: FastEngine(validation="off"))

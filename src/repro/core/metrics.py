@@ -220,50 +220,6 @@ class LatencyHistogram:
             seen += c
         return self.max_s
 
-    def to_dict(self) -> Dict[str, object]:
-        """Lossless JSON-ready state (captures, cross-process merges).
-
-        Only non-empty buckets are stored (sparse), so a quiet histogram
-        serializes to a few bytes regardless of bucket count.
-        """
-        return {
-            "low_s": self.bounds[0],
-            "high_s": self.bounds[-1],
-            "buckets": len(self.bounds),
-            "sparse": {
-                str(i): c for i, c in enumerate(self.counts) if c
-            },
-            "count": self.count,
-            "sum_s": self.sum_s,
-            "min_s": self.min_s if self.count else None,
-            "max_s": self.max_s,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, object]) -> "LatencyHistogram":
-        """Rebuild a histogram serialized by :meth:`to_dict`.
-
-        The bucket layout is reconstructed from the stored span with the
-        default growth factor (identical float arithmetic, so the bounds
-        match exactly); a histogram serialized with a non-default growth
-        fails the layout check rather than mis-binning silently.
-        """
-        hist = cls(low_s=float(doc["low_s"]), high_s=float(doc["high_s"]))
-        if len(hist.bounds) != int(doc["buckets"]):
-            raise ValueError(
-                f"histogram layout mismatch: rebuilt {len(hist.bounds)} "
-                f"buckets, serialized {doc['buckets']}"
-            )
-        for key, c in dict(doc["sparse"]).items():
-            hist.counts[int(key)] = int(c)
-        hist.count = int(doc["count"])
-        hist.sum_s = float(doc["sum_s"])
-        hist.min_s = (
-            float(doc["min_s"]) if doc.get("min_s") is not None else math.inf
-        )
-        hist.max_s = float(doc["max_s"])
-        return hist
-
     def summary(self) -> Dict[str, float]:
         """The standard latency rollup (milliseconds for readability)."""
         to_ms = 1e3

@@ -68,9 +68,8 @@ class CongestedClique:
             (recompute on hit and assert determinism).
         max_rounds: abort if a protocol runs longer than this many rounds.
         engine: round-loop driver — ``None`` for the fully-audited reference
-            engine, a registered name (``"reference"``, ``"fast"``,
-            ``"fast-audit"``, ``"fast-unchecked"``), or an
-            :class:`~repro.core.engine.ExecutionEngine` instance.
+            engine, a registered name (``"reference"``, ``"fast"``), or
+            an :class:`~repro.core.engine.ExecutionEngine` instance.
     """
 
     def __init__(

@@ -29,7 +29,6 @@ Items are tuples of words; on the wire each packet is
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Generator, Hashable, List, Optional, Sequence, Tuple
 
 from ..core.context import NodeContext, planned
@@ -372,15 +371,3 @@ def broadcast_word(
             f"broadcast expected {ctx.n} packets, got {len(inbox)}"
         )
     return values
-
-
-def rounds_for_announce(w: int, vector_len: int, capacity: int, n: int) -> int:
-    """Round cost of :func:`announce_within_group` (always 2); validates
-    that the chunked demand respects the Corollary 3.3 degree bound."""
-    chunk_size = max(1, capacity - 3)
-    num_chunks = max(1, math.ceil(vector_len / chunk_size))
-    if w * num_chunks > n:
-        raise ModelViolation(
-            f"announcement demand {w * num_chunks} exceeds n={n}"
-        )
-    return ROUNDS_ANNOUNCE

@@ -33,7 +33,9 @@ Two operational companions ride on the same envelopes:
 * :mod:`repro.service.net` — the networked front end: a versioned
   length-prefixed binary protocol over TCP whose payloads are the
   transport's columnar envelopes; asyncio server fronting the stream
-  gateway, blocking :class:`Client` and in-memory :class:`MockClient`.
+  gateway, the one TCP :class:`Client` (it reconnects, resumes its
+  lineage and resubmits without executing twice) and the in-memory
+  :class:`MockClient`.
 
 Command line (one parser, :mod:`repro.service.__main__`)::
 

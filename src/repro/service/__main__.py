@@ -12,14 +12,16 @@ Verbs::
     serve           run a NetServer in the foreground (Ctrl-C to stop)
     client          run a mixed batch against a running server
     selfcheck       loopback server + client (CI smoke mode)
-    soak            flapping fault proxy + resilient client; four gates
+    soak            flapping fault proxy + reconnecting client; four gates
 
 Every flag is declared once, in :data:`_FLAGS`, and each verb picks the
 ones it reads.  ``--selfcheck`` (always on for the ``selfcheck`` verb)
 re-runs the same requests in-process and requires the sequential batch
 digest.  A verb prints text lines, or its report's ``to_dict()`` under
 ``--json``; it exits 1 unless the report is ok, every gate holds and the
-selfcheck digest matches, and 2 on a usage error.
+selfcheck digest matches, and 2 on a usage error.  A network failure
+the client gives up on (a dead address, an open circuit breaker) is one
+line on stderr and exit 1.
 
 See DESIGN.md sections 6 (batch), 7 (stream), 9 (capture, chaos) and 12
 (serve, client, selfcheck, soak).
@@ -53,7 +55,8 @@ from .batch import BatchService, requests_from_scenarios, summaries_digest
 from .chaos import run_chaos
 from .net.client import Client
 from .net.faultproxy import ProxyThread
-from .net.resilience import BackoffPolicy, ResilientClient
+from .net.framing import NetError
+from .net.resilience import BackoffPolicy
 from .net.server import NetServer, ServerThread
 from .recording import (
     CAPTURE_FORMAT,
@@ -170,9 +173,6 @@ _FLAGS: Dict[str, Dict[str, Any]] = {
     "chunk": dict(
         type=_positive, default=32, metavar="N",
         help="requests per SUBMIT envelope",
-    ),
-    "resilient": dict(
-        action="store_true", help="use the reconnecting ResilientClient",
     ),
     "timescale": dict(
         type=float, default=1.0, metavar="X",
@@ -409,6 +409,10 @@ def _capture_replay(args: argparse.Namespace) -> int:
 
 
 def _server_kwargs(args: argparse.Namespace) -> Dict[str, Any]:
+    if args.workers < 1:
+        raise ValueError(
+            f"--workers must be >= 1 to start a server, got {args.workers}"
+        )
     return {name: getattr(args, name) for name in ("host", "port",
                                                    *_GATEWAY.split())}
 
@@ -439,7 +443,7 @@ def _serve(args: argparse.Namespace) -> int:
 
 
 def _retry_bound(envelopes: int) -> int:
-    """Resubmits a resilient run may need: the backoff attempt cap per
+    """Resubmits a client run may need: the backoff attempt cap per
     envelope."""
     return BackoffPolicy().max_attempts * max(1, envelopes)
 
@@ -447,7 +451,6 @@ def _retry_bound(envelopes: int) -> int:
 def _client(args: argparse.Namespace) -> int:
     requests = _requests(args)
     host, port = args.host, args.port
-    stats: Dict[str, int] = {}
     with contextlib.ExitStack() as stack:
         if args.toxic:
             proxy = stack.enter_context(
@@ -455,15 +458,14 @@ def _client(args: argparse.Namespace) -> int:
             )
             host, port = proxy.host, proxy.port
         client = stack.enter_context(
-            ResilientClient(host, port, timeout=args.timeout, seed=args.seed)
-            if args.resilient
-            else Client(host, port, timeout=args.timeout)
+            Client(host, port, timeout=args.timeout, seed=args.seed)
         )
         t0 = time.perf_counter()
         summaries = client.run(requests, chunk=args.chunk)
         wall = time.perf_counter() - t0
         version = client.protocol_version
         sent, received = client.bytes_sent, client.bytes_received
+        stats = client.stats()
         doc: Dict[str, Any] = {
             "server": client.server_info.get("server"),
             "protocol": version,
@@ -478,27 +480,23 @@ def _client(args: argparse.Namespace) -> int:
                 {"request": s.request.name, "error": s.error}
                 for s in summaries if not s.ok
             ],
+            "resilience": stats,
+            "retries_bounded": stats["resubmits"] <= _retry_bound(
+                math.ceil(len(requests) / args.chunk)
+            ),
         }
-        if isinstance(client, ResilientClient):
-            stats = client.stats()
     lines = [
         f"net client: {len(requests)} requests over protocol v{version} "
         f"in {wall:.2f}s — digest {doc['digest']}",
         f"wire: {sent} bytes sent, {received} received "
         f"({(sent + received) / len(requests):.0f} B/request)",
+        f"resilience: {stats['reconnects']} reconnects, "
+        f"{stats['resubmits']} resubmits, "
+        f"{stats['retry_afters']} retry-afters, "
+        f"{stats['cache_hits']} cache hits",
     ]
     if args.toxic:
         doc["toxics"] = args.toxic
-    if stats:
-        envelopes = math.ceil(len(requests) / args.chunk)
-        doc["resilience"] = stats
-        doc["retries_bounded"] = stats["resubmits"] <= _retry_bound(envelopes)
-        lines.append(
-            f"resilience: {stats['reconnects']} reconnects, "
-            f"{stats['resubmits']} resubmits, "
-            f"{stats['retry_afters']} retry-afters, "
-            f"{stats['cache_hits']} cache hits"
-        )
     if args.selfcheck:
         doc["selfcheck"] = _sequential_check(
             requests, doc["digest"], args.engine
@@ -516,8 +514,8 @@ def _soak(args: argparse.Namespace) -> int:
     """Reconnect soak: flapping proxy, poisson load, four gates.
 
     The proxy drops every live connection every ``--flap-every``
-    seconds (jittered) while a :class:`ResilientClient` pushes a
-    poisson-arrival workload through it, one request per envelope.
+    seconds (jittered) while a :class:`Client` pushes a poisson-arrival
+    workload through it, one request per envelope.
     Gates:
 
     1. every submitted envelope is collected (zero stranded futures);
@@ -541,7 +539,7 @@ def _soak(args: argparse.Namespace) -> int:
         backoff = BackoffPolicy(
             base_s=0.05, max_s=1.0, deadline_s=max(60.0, 3.0 * args.duration)
         )
-        client = ResilientClient(
+        client = Client(
             proxy.host, proxy.port, backoff=backoff, seed=args.seed
         )
         client.connect()
@@ -673,20 +671,19 @@ def _parser() -> argparse.ArgumentParser:
          "run a server in the foreground (Ctrl-C to stop)",
          backend="thread")
     verb(verbs, "client", _client,
-         f"host port timeout engine {_WORKLOAD} chunk resilient toxic json "
-         "selfcheck",
+         f"host port timeout engine {_WORKLOAD} chunk toxic json selfcheck",
          "run a mixed batch against a running server")
     loopback = dict(
         backend="thread", port=0, scenario_mix=REMOTE_SELFCHECK_MIX
     )
     verb(verbs, "selfcheck", _selfcheck,
-         f"host port {_GATEWAY} {_WORKLOAD} chunk resilient toxic json",
+         f"host port {_GATEWAY} {_WORKLOAD} chunk toxic json",
          "loopback server + client; the digests must match",
          selfcheck=True, timeout=60.0, **loopback)
     verb(verbs, "soak", _soak,
          f"host port {_GATEWAY} scenario_mix seed duration rate flap_every "
          "toxic json",
-         "flapping fault proxy + resilient client; four gates",
+         "flapping fault proxy + reconnecting client; four gates",
          policy="block", duration=60.0, rate=4.0, **loopback)
     return parser
 
@@ -699,6 +696,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CaptureError as exc:
         print(f"capture error: {exc}", file=sys.stderr)
         return 2
+    except NetError as exc:  # the client gave up, e.g. on a dead address
+        print(f"net error ({exc.code}): {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:  # a value only the verb can check, such as
         args.error(str(exc))  # an impossible chaos plan: exit 2 with usage
 

@@ -145,6 +145,10 @@ def build_chaos_plan(
     the warm path and a long suffix proves post-kill recovery; poisons
     and stragglers are scattered deterministically from ``seed``.
     """
+    if not 0.0 <= straggler_frac <= 1.0:
+        raise ValueError(
+            f"straggler_frac must be in [0, 1], got {straggler_frac}"
+        )
     faults = kills + poisons
     if count < faults + 2:
         raise ValueError(

@@ -14,11 +14,14 @@ per-request pickle on the wire.  Layers, bottom-up:
 * :mod:`~repro.service.net.server` — the asyncio server: handshake,
   session ids, per-session quotas, graceful drain, the per-lineage
   idempotency cache and overload admission control;
-* :mod:`~repro.service.net.client` — the blocking :class:`Client` and
-  in-memory :class:`MockClient` behind one :class:`CommonClient` base;
-* :mod:`~repro.service.net.resilience` — :class:`ResilientClient`:
-  reconnect with backoff and a circuit breaker, idempotent resume,
-  ``retry-after`` compliance;
+* :mod:`~repro.service.net.client` — :class:`Client`, which reconnects
+  with backoff behind a circuit breaker, resumes its lineage, resubmits
+  under the original idempotency keys and honours ``retry-after``, and
+  the in-memory :class:`MockClient`, behind one :class:`CommonClient`
+  base;
+* :mod:`~repro.service.net.resilience` — the client's retry policy
+  (:class:`BackoffPolicy`, :class:`CircuitBreaker`) and the typed
+  errors it gives up with;
 * :mod:`~repro.service.net.faultproxy` — a wire-level fault-injection
   TCP proxy (latency, jitter, rate caps, mid-frame disconnects,
   blackholes, corruption) for testing all of the above.
@@ -31,7 +34,7 @@ Command line (verbs of ``python -m repro.service``)::
     python -m repro.service serve --port 7707 --workers 4
     python -m repro.service client --port 7707 --requests 64
     python -m repro.service selfcheck --requests 256
-    python -m repro.service selfcheck --resilient --toxic latency:5 \
+    python -m repro.service selfcheck --toxic latency:5 \
         --toxic disconnect:65536
     python -m repro.service soak --duration 60 --flap-every 3
 
@@ -64,7 +67,6 @@ _RESILIENCE_EXPORTS = (
     "BackoffPolicy",
     "CircuitBreaker",
     "CircuitOpen",
-    "ResilientClient",
     "RetriesExhausted",
 )
 _FAULTPROXY_EXPORTS = ("FaultProxy", "ProxyThread", "Toxic", "parse_toxic")

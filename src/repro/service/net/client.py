@@ -1,14 +1,21 @@
 """Client library of the network service: ``Client`` and ``MockClient``.
 
-Two implementations share one :class:`CommonClient` contract, mirroring
+Two public clients share one :class:`CommonClient` contract, mirroring
 the exploration-tool pattern the ROADMAP points at:
 
-* :class:`Client` — a blocking TCP client: real sockets, real frames,
-  a real handshake.  What applications and the CLI use.
+* :class:`Client` — the TCP client, which survives the network failing
+  under it: it reconnects, resumes its lineage and resubmits without
+  executing anything twice.  What applications, the CLI and the
+  benchmark use.
 * :class:`MockClient` — an in-memory stand-in with the same surface
   that executes requests in-process.  What tests use when they want the
   client programming model without a server, and what the digest-parity
   differential compares the wire path against.
+
+Beneath :class:`Client` sits :class:`_Connection`, one socket and one
+session: real frames, a real handshake, and a typed error — never a
+hang — for every way the wire can fail.  It is a ``CommonClient`` too,
+so the contract and typed-error suites run against it directly.
 
 The shared contract is deliberately small — ``connect``, ``submit``,
 ``collect``, ``run``, ``drain``, ``metrics``, ``close`` — and
@@ -17,16 +24,27 @@ returns its channel id, ``collect`` blocks for that channel's summaries.
 Summaries never re-ship requests on the wire; the client rejoins them
 from the envelope it submitted (the same rule the in-process transport
 enforces).
+
+Invariant (DESIGN.md §13): *at-least-once delivery, at-most-once
+execution*.  Every retry loop of :class:`Client` is bounded twice:
+per attempt by the socket timeout, overall by
+:attr:`~repro.service.net.resilience.BackoffPolicy.deadline_s` — a dead
+server surfaces as a typed
+:class:`~repro.service.net.resilience.RetriesExhausted` (or
+:class:`~repro.service.net.resilience.CircuitOpen`), never a hang.
 """
 
 from __future__ import annotations
 
+import random
 import socket
+import time
 import uuid
-from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar, Union
 
-from ...core.engine import RunRequest, RunSummary
+from ...core.engine import STATUS_REJECTED, RunRequest, RunSummary
 from ..batch import execute_request
 from . import protocol
 from .framing import (
@@ -43,7 +61,6 @@ from .framing import (
     FRAME_RESUME,
     FRAME_RESUMED,
     FRAME_SUMMARY,
-    MAX_FRAME_BYTES,
     Frame,
     FrameDecoder,
     HandshakeError,
@@ -55,8 +72,16 @@ from .framing import (
     encode_frame,
     parse_control,
 )
+from .resilience import (
+    BackoffPolicy,
+    CircuitBreaker,
+    CircuitOpen,
+    RetriesExhausted,
+)
 
 __all__ = ["CommonClient", "Client", "MockClient", "SURVIVABLE_ERROR_CODES"]
+
+_T = TypeVar("_T")
 
 #: default cap on requests per SUBMIT envelope in :meth:`CommonClient.run`.
 DEFAULT_CHUNK = 32
@@ -234,30 +259,26 @@ class CommonClient:
         self.close()
 
 
-class Client(CommonClient):
-    """Blocking TCP client of a :class:`~repro.service.net.server.NetServer`.
+class _Connection(CommonClient):
+    """One blocking socket and session to a
+    :class:`~repro.service.net.server.NetServer`.
 
     ``timeout`` bounds every socket operation: a dead or wedged server
-    surfaces as a typed :class:`NetTimeout`, never a hang.
+    surfaces as a typed :class:`NetTimeout`, never a hang.  Every
+    failure is typed and every connection-fatal one closes the socket
+    first; nothing here retries — that is :class:`Client`'s job.
 
     ``bytes_sent`` / ``bytes_received`` count raw wire bytes, which is
     what the E19 bench reports as per-request wire cost.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        timeout: float = 30.0,
-        max_frame: int = MAX_FRAME_BYTES,
-    ) -> None:
+    def __init__(self, host: str, port: int, timeout: float = 30.0) -> None:
         super().__init__()
         self.host = host
         self.port = port
         self.timeout = float(timeout)
-        self.max_frame = int(max_frame)
         self._sock: Optional[socket.socket] = None
-        self._decoder = FrameDecoder(self.max_frame)
+        self._decoder = FrameDecoder()
         #: each channel's answer, read while some other call was reading:
         #: its SUMMARY frame (the server sends them as envelopes
         #: complete) or its survivable refusal.
@@ -287,7 +308,7 @@ class Client(CommonClient):
     def _send_frame(self, frame: Frame) -> None:
         if self._sock is None:
             raise SessionClosed("client is not connected")
-        data = encode_frame(frame, self.max_frame)
+        data = encode_frame(frame)
         try:
             self._sock.sendall(data)
         except socket.timeout:
@@ -422,15 +443,20 @@ class Client(CommonClient):
 
     # -- contract ------------------------------------------------------------
 
-    def connect(self) -> "Client":
-        """Dial and handshake; returns self once accepted."""
+    def connect(self) -> "_Connection":
+        """Dial and handshake; returns self once accepted.
+
+        A failed dial (refused, unreachable, unresolvable) is a typed
+        :class:`SessionClosed`, like every later socket failure.
+        """
         if self._sock is not None:
             raise RuntimeError("client already connected")
-        self._sock = socket.create_connection(
-            (self.host, self.port), timeout=self.timeout
-        )
-        self._sock.settimeout(self.timeout)
+        self._decoder = FrameDecoder()  # drop a cut connection's partial frame
         try:
+            self._sock = socket.create_connection(
+                (self.host, self.port), timeout=self.timeout
+            )
+            self._sock.settimeout(self.timeout)
             hello = self._recv_frame()
             if hello.type != FRAME_HELLO:
                 raise HandshakeError(f"expected HELLO, got {hello.name}")
@@ -470,7 +496,7 @@ class Client(CommonClient):
             if isinstance(exc, NetError):
                 raise
             raise SessionClosed(
-                f"socket failed during handshake: {exc}"
+                f"cannot reach {self.host}:{self.port}: {exc}"
             ) from None
         return self
 
@@ -551,7 +577,8 @@ class Client(CommonClient):
         )
 
     def close(self) -> None:
-        """Say GOODBYE and close the socket (idempotent).
+        """Say GOODBYE, close the socket and forget this session's
+        channels (idempotent).
 
         Safe from every state: never connected, connect failed halfway,
         session aborted by a typed error, or already closed.
@@ -561,9 +588,290 @@ class Client(CommonClient):
                 self._send_frame(
                     Frame(FRAME_GOODBYE, control_payload({"reason": "done"}))
                 )
-            except (NetError, OSError):
+            except NetError:
                 pass  # the socket may already be gone; close anyway
         self._abort()
+        self._requests.clear()
+        self._parked.clear()
+
+
+@dataclass
+class _Envelope:
+    """One logical submit: what a reconnect must be able to ship again."""
+
+    key: str
+    requests: List[RunRequest]
+    #: whether the current connection carries this envelope.
+    shipped: bool = False
+    attempts: int = 0
+
+
+class Client(_Connection):
+    """The TCP client of a :class:`~repro.service.net.server.NetServer`:
+    reconnects, deduplicates, honours overload (see module docstring).
+
+    Any connection-fatal typed error (reset, timeout, truncated or
+    corrupt frame, server goodbye) drops the socket; the next call
+    dials again after a jittered exponential ``backoff``, and once
+    ``breaker.threshold`` consecutive dials have failed the ``breaker``
+    fails calls fast with a typed :class:`CircuitOpen` until its reset
+    time has passed.  Every connection sends ``RESUME`` with the
+    client's lineage (a fresh UUID per client, so distinct clients
+    never share results) before any submit, and every envelope not yet
+    collected is shipped again under its original idempotency key: the
+    server's lineage cache answers whatever already executed.  A
+    ``retry-after`` refusal sleeps the server's hint and resubmits;
+    rows the gateway rejected retry under a fresh key.
+
+    Channel ids name the logical envelope and stay valid across
+    reconnects.  The counters (``bytes_sent``, ``bytes_received``,
+    ``cache_hits``, ``reconnects``, ``resubmits``, ``retry_afters``)
+    only grow over the client's lifetime.  ``seed`` seeds the backoff
+    jitter.
+
+    A server that does not speak protocol version 2 fails with a typed,
+    non-retryable :class:`~repro.service.net.framing.HandshakeError`:
+    resuming without idempotency keys would execute twice.
+    """
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        timeout: float = 30.0,
+        backoff: Optional[BackoffPolicy] = None,
+        breaker: Optional[CircuitBreaker] = None,
+        seed: int = 0,
+    ) -> None:
+        super().__init__(host, port, timeout)
+        self.backoff = backoff if backoff is not None else BackoffPolicy()
+        self.breaker = breaker if breaker is not None else CircuitBreaker()
+        self.lineage = uuid.uuid4().hex
+        self._rng = random.Random(seed)
+        self._envelopes: Dict[int, _Envelope] = {}
+        self._dialled = False
+        self.reconnects = 0
+        self.resubmits = 0
+        self.retry_afters = 0
+
+    @property
+    def pending(self) -> int:
+        """Envelopes submitted but not yet collected (stranded-future
+        meter: MUST be 0 once every channel has been collected)."""
+        return len(self._envelopes)
+
+    def stats(self) -> Dict[str, int]:
+        """Snapshot of the retry counters."""
+        return {
+            "reconnects": self.reconnects,
+            "resubmits": self.resubmits,
+            "retry_afters": self.retry_afters,
+            "cache_hits": self.cache_hits,
+            "breaker_failures": self.breaker.failures,
+        }
+
+    # -- connection management -----------------------------------------------
+
+    def connect(self) -> "Client":
+        """Dial (with backoff and breaker), handshake, bind the lineage."""
+        self._redial(self._deadline())
+        return self
+
+    def _deadline(self) -> float:
+        return time.monotonic() + self.backoff.deadline_s
+
+    def _redial(self, deadline: float) -> None:
+        """Drop the socket, dial until a session is bound to the lineage;
+        every uncollected envelope is then shipped again."""
+        super().close()
+        for env in self._envelopes.values():
+            env.shipped = False
+        attempt = 0
+        while True:
+            if not self.breaker.allow():
+                raise CircuitOpen(
+                    f"circuit open after {self.breaker.failures} "
+                    f"consecutive connect failures to "
+                    f"{self.host}:{self.port} (reset in "
+                    f"{self.breaker.reset_s}s)"
+                )
+            try:
+                super().connect()
+                super().resume(self.lineage)
+            except HandshakeError:
+                # a version/protocol mismatch is configuration, not
+                # weather: retrying cannot fix it, so fail loudly now.
+                self.breaker.record_failure()
+                raise
+            except NetError as exc:
+                self._abort()  # a malformed RESUMED leaves the socket open
+                self.breaker.record_failure()
+                attempt += 1
+                self._back_off(attempt, deadline, exc)
+                continue
+            self.breaker.record_success()
+            if self._dialled:
+                self.reconnects += 1
+            self._dialled = True
+            return
+
+    def _back_off(
+        self, attempt: int, deadline: float, cause: NetError
+    ) -> None:
+        """Sleep before retry ``attempt`` (1-based); typed error past budget.
+
+        A survivable refusal sleeps the server's ``retry-after`` hint when
+        it sent one and is bounded by the deadline alone; any other cause
+        sleeps the backoff policy's delay and also counts against its
+        attempt cap.
+        """
+        hint_ms: Optional[float] = None
+        if (
+            isinstance(cause, ServerError)
+            and cause.code in SURVIVABLE_ERROR_CODES
+        ):
+            hint_ms = cause.retry_after_ms
+        elif attempt > self.backoff.max_attempts:
+            raise RetriesExhausted(
+                f"gave up after {self.backoff.max_attempts} attempts: "
+                f"{cause}"
+            ) from cause
+        delay = (
+            hint_ms / 1e3
+            if hint_ms is not None
+            else self.backoff.delay_s(attempt, self._rng)
+        )
+        if time.monotonic() + delay > deadline:
+            raise RetriesExhausted(
+                f"retry deadline of {self.backoff.deadline_s}s exhausted: "
+                f"{cause}"
+            ) from cause
+        time.sleep(delay)
+
+    def _retrying(self, call: Callable[[], _T], deadline: float) -> _T:
+        """``call()`` on a live session; after a failure, back off,
+        redial if the session is gone, and call again."""
+        attempt = 0
+        while True:
+            try:
+                if not self.connected:
+                    self._redial(deadline)
+                return call()
+            except NetError as exc:
+                attempt += 1
+                self._back_off(attempt, deadline, exc)
+
+    # -- contract ------------------------------------------------------------
+
+    def submit(
+        self, requests: Sequence[RunRequest], *, key: Optional[str] = None
+    ) -> int:
+        """Register one envelope and ship it if the wire allows.
+
+        The returned channel id is *stable across reconnects*: it names
+        the logical envelope, not any single wire submission.  If the
+        wire fails here, :meth:`collect` ships (or re-ships) it.
+        """
+        if not self.connected:
+            self._redial(self._deadline())
+        channel = self._track(requests, key if key else uuid.uuid4().hex)
+        try:
+            self._ship(channel)
+        except NetError:
+            pass  # collect() owns the retry loop; the envelope stays queued
+        return channel
+
+    def _track(self, requests: Sequence[RunRequest], key: str) -> int:
+        channel = self._register(requests)
+        self._envelopes[channel] = _Envelope(key, self._requests[channel])
+        return channel
+
+    def _ship(self, channel: int) -> None:
+        env = self._envelopes[channel]
+        if env.attempts > 0:
+            self.resubmits += 1
+        env.attempts += 1
+        self._requests[channel] = env.requests
+        self._send_frame(
+            protocol.encode_submit(channel, env.requests, env.key)
+        )
+        env.shipped = True
+
+    def collect(self, channel: int) -> List[RunSummary]:
+        """Drive one envelope to its summaries, whatever the wire does."""
+        if channel not in self._envelopes:
+            raise NetError(f"channel {channel} was never submitted")
+        return self._finish(channel, self._deadline())
+
+    def _finish(self, channel: int, deadline: float) -> List[RunSummary]:
+        """(Re)ship and collect ``channel`` until it executed; retry the
+        rows the gateway rejected; forget the envelope."""
+        env = self._envelopes[channel]
+        collect = super().collect
+
+        def once() -> List[RunSummary]:
+            if not env.shipped:
+                self._ship(channel)
+            try:
+                return collect(channel)
+            except ServerError as exc:
+                if (
+                    exc.code in SURVIVABLE_ERROR_CODES
+                    and exc.channel == channel
+                ):
+                    # the refusal was this submission's answer: it is
+                    # void and is shipped again after backing off.
+                    self.retry_afters += 1
+                    env.shipped = False
+                raise
+
+        summaries = self._retrying(once, deadline)
+        while True:
+            rejected = [
+                i for i, s in enumerate(summaries)
+                if s.status == STATUS_REJECTED
+            ]
+            if not rejected or time.monotonic() > deadline:
+                # out of budget, the honest partial result: rejected
+                # rows are typed failures, not silent gaps.
+                break
+            # Rejected rows never executed, and the mixed result was not
+            # cached, so they retry as a smaller envelope under a fresh
+            # key: the original key would execute the completed rows
+            # a second time.
+            retry = self._track(
+                [env.requests[i] for i in rejected], uuid.uuid4().hex
+            )
+            self.resubmits += 1
+            time.sleep(self.backoff.delay_s(1, self._rng))
+            redone = self._finish(retry, deadline)
+            for slot, summary in zip(rejected, redone):
+                summaries[slot] = summary
+        del self._envelopes[channel]
+        return summaries
+
+    def drain(self) -> int:
+        """In-band barrier on the current connection (redials if needed)."""
+        return self._retrying(super().drain, self._deadline())
+
+    def resume(self, lineage: str) -> List[str]:
+        """Bind this client, and every connection it dials from now on,
+        to ``lineage``; returns the keys the server holds results for."""
+        keys = self._retrying(
+            partial(super().resume, lineage), self._deadline()
+        )
+        self.lineage = lineage
+        return keys
+
+    def metrics(self) -> Dict[str, object]:
+        """The server's metrics rollup (redials if needed)."""
+        return self._retrying(super().metrics, self._deadline())
+
+    def close(self) -> None:
+        """Close the connection and forget every uncollected envelope
+        (idempotent)."""
+        super().close()
+        self._envelopes.clear()
 
 
 class MockClient(CommonClient):

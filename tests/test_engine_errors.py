@@ -25,12 +25,18 @@ from repro.core import (
     run_protocol,
 )
 
+#: the fast loop auditing every packet, and auditing none.
+FAST_AUDIT = pytest.param(FastEngine(validation="full"), id="fast-audit")
+FAST_UNCHECKED = pytest.param(
+    FastEngine(validation="off"), id="fast-unchecked"
+)
+
 #: engines whose error behavior must match; "fast-audit" validates every
 #: packet, plain "fast" samples (stride 1 in these tests would be identical).
-ENGINES = ["reference", "fast", "fast-audit"]
+ENGINES = ["reference", "fast", FAST_AUDIT]
 
 #: engines that audit every packet (capacity/word-size tests need this).
-AUDITING_ENGINES = ["reference", "fast-audit"]
+AUDITING_ENGINES = ["reference", FAST_AUDIT]
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -90,7 +96,7 @@ def test_invalid_destination(engine):
         run_protocol(3, prog, engine=engine)
 
 
-@pytest.mark.parametrize("engine", ENGINES + ["fast-unchecked"])
+@pytest.mark.parametrize("engine", ENGINES + [FAST_UNCHECKED])
 def test_float_destination_rejected_even_when_it_hashes_like_a_node(engine):
     # Regression: 1.0 == 1 hashes equal to a live node id; a set-membership
     # check alone would deliver it silently on the fast path.
@@ -174,12 +180,12 @@ def test_sampled_validation_still_audits_first_packet():
 
 
 def test_unchecked_engine_skips_the_audit():
-    # Documented trade-off: "fast-unchecked" lets oversize words through.
+    # Documented trade-off: validation "off" lets oversize words through.
     def prog(ctx):
         inbox = yield {0: packet(10 ** 60)}
         return len(inbox)
 
-    res = run_protocol(2, prog, engine="fast-unchecked")
+    res = run_protocol(2, prog, engine=FastEngine(validation="off"))
     assert res.outputs[0] == 2
 
 

@@ -39,7 +39,12 @@ from repro.service.net import (
     SessionClosed,
     TruncatedFrame,
 )
-from repro.service.net.client import Client, CommonClient, MockClient
+from repro.service.net.client import (
+    Client,
+    CommonClient,
+    MockClient,
+    _Connection,
+)
 from repro.service.net.framing import (
     FRAME_ERROR,
     FRAME_GOODBYE,
@@ -282,12 +287,13 @@ def test_client_never_hangs_on_a_silent_server():
     listener.bind(("127.0.0.1", 0))
     listener.listen(1)
     host, port = listener.getsockname()
-    client = Client(host, port, timeout=0.3)
+    client = _Connection(host, port, timeout=0.3)
     t0 = time.monotonic()
     with pytest.raises(NetTimeout):
         client.connect()
     assert time.monotonic() - t0 < 5.0
     listener.close()
+
 
 
 # -- negotiated sessions over real sockets -----------------------------------
@@ -315,7 +321,7 @@ def test_session_quota_is_enforced_and_survivable():
     ``quota-exceeded`` error; the session stays usable afterwards."""
     requests = _requests(8)
     with ServerThread(workers=2, session_quota=4) as st:
-        with Client(st.host, st.port, timeout=30) as client:
+        with _Connection(st.host, st.port, timeout=30) as client:
             assert client.session_quota == 4
             channel = client.submit(requests)  # 8 > quota of 4
             with pytest.raises(ServerError) as excinfo:
@@ -338,7 +344,7 @@ def test_refusal_is_parked_for_its_own_channel():
     the socket timeout."""
     requests = _requests(8)
     with ServerThread(workers=2, session_quota=4) as st:
-        with Client(st.host, st.port, timeout=10) as client:
+        with _Connection(st.host, st.port, timeout=10) as client:
             refused = client.submit(requests)  # 8 > quota of 4
             ok = client.submit(requests[:3])
             summaries = client.collect(ok)
@@ -363,7 +369,7 @@ def test_refusal_does_not_leak_into_other_calls():
     stays healthy for the next envelope."""
     requests = _requests(8)
     with ServerThread(workers=2, session_quota=4) as st:
-        with Client(st.host, st.port, timeout=10) as client:
+        with _Connection(st.host, st.port, timeout=10) as client:
             refused = client.submit(requests)  # 8 > quota of 4
             doc = client.metrics()
             assert doc["session"] == client.session_id
@@ -384,7 +390,7 @@ def test_oversized_summary_is_a_typed_error_not_a_hang():
     the cap, their answers do not."""
     requests = _requests(64)
     with ServerThread(workers=2, max_frame=1024) as st:
-        client = Client(st.host, st.port, timeout=10).connect()
+        client = _Connection(st.host, st.port, timeout=10).connect()
         t0 = time.monotonic()
         with pytest.raises(ServerError) as excinfo:
             client.run(requests, chunk=32)
@@ -428,7 +434,7 @@ def test_graceful_shutdown_resolves_inflight_tickets(sleepy_algorithm):
     st = ServerThread(workers=2)
     st.start()
     try:
-        client = Client(st.host, st.port, timeout=30).connect()
+        client = _Connection(st.host, st.port, timeout=30).connect()
         first = client.submit(requests[:3])
         second = client.submit(requests[3:])
         # the metrics round-trip is the acceptance barrier: the read loop
@@ -618,7 +624,7 @@ def test_public_client_api_is_documented():
     method of the client library carries a docstring."""
     import inspect
 
-    for cls in (CommonClient, Client, MockClient):
+    for cls in (CommonClient, _Connection, Client, MockClient):
         assert inspect.getdoc(cls), f"{cls.__name__} lacks a docstring"
         for name, member in vars(cls).items():
             if name.startswith("_") or not callable(member):

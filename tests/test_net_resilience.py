@@ -1,8 +1,9 @@
 """The fault-tolerance layer: reconnect, idempotent resume, fault proxy.
 
 The backoff/circuit-breaker machinery in isolation, the toxic-spec
-grammar, the protocol codec's CRC armour, the parametrized :class:`CommonClient` contract suite over all
-three client implementations, the through-proxy differential (digest
+grammar, the protocol codec's CRC armour, the parametrized
+:class:`CommonClient` contract suite over the two public clients and the
+private single-socket connection, the through-proxy differential (digest
 parity under injected faults, zero duplicate executions), the server's
 admission control and lineage cache semantics, and the cleanup /
 idempotent-close contracts on every error path.
@@ -34,7 +35,12 @@ from repro.service.net import (
     TruncatedFrame,
 )
 from repro.service.net import protocol
-from repro.service.net.client import Client, CommonClient, MockClient
+from repro.service.net.client import (
+    Client,
+    CommonClient,
+    MockClient,
+    _Connection,
+)
 from repro.service.net.faultproxy import (
     FaultProxy,
     ProxyThread,
@@ -57,7 +63,6 @@ from repro.service.net.resilience import (
     BackoffPolicy,
     CircuitBreaker,
     CircuitOpen,
-    ResilientClient,
     RetriesExhausted,
 )
 from repro.service.net.server import ServerThread
@@ -271,7 +276,7 @@ def test_v2_truncated_payloads_are_typed():
         protocol.summary_channel(Frame(FRAME_SUMMARY, b"\x00"))
 
 
-# -- the CommonClient contract, over all three implementations ---------------
+# -- the CommonClient contract, over every implementation -------------------
 
 
 @pytest.fixture(scope="module")
@@ -283,17 +288,17 @@ def contract_server():
 
 @pytest.fixture(params=["mock", "tcp", "resilient"])
 def make_client(request, contract_server):
-    """A factory producing an unconnected client of each implementation."""
+    """A factory producing an unconnected client of each implementation:
+    ``tcp`` is the single-socket connection, ``resilient`` the public
+    reconnecting client."""
     def factory():
         if request.param == "mock":
             return MockClient()
         if request.param == "tcp":
-            return Client(
+            return _Connection(
                 contract_server.host, contract_server.port, timeout=10
             )
-        return ResilientClient(
-            contract_server.host, contract_server.port, timeout=10
-        )
+        return Client(contract_server.host, contract_server.port, timeout=10)
 
     return factory
 
@@ -374,7 +379,7 @@ def test_corrupting_proxy_fails_the_plain_client_with_a_typed_error():
     requests = _requests(24, seed0=1420)
     with ServerThread(workers=2) as st:
         with ProxyThread(st.host, st.port) as proxy:
-            client = Client(proxy.host, proxy.port, timeout=3)
+            client = _Connection(proxy.host, proxy.port, timeout=3)
             client.connect()
             proxy.set_toxics(["corrupt:1@up"])
             with pytest.raises(NetError):
@@ -391,7 +396,7 @@ def test_disconnect_toxic_cuts_mid_frame_with_a_typed_error():
         with ProxyThread(
             st.host, st.port, toxics=["disconnect:2048"]
         ) as proxy:
-            client = Client(proxy.host, proxy.port, timeout=5)
+            client = _Connection(proxy.host, proxy.port, timeout=5)
             client.connect()
             with pytest.raises((SessionClosed, TruncatedFrame)):
                 client.run(requests, chunk=8)
@@ -402,7 +407,7 @@ def test_disconnect_toxic_cuts_mid_frame_with_a_typed_error():
 def test_blackhole_toxic_surfaces_as_a_client_timeout():
     with ServerThread(workers=2) as st:
         with ProxyThread(st.host, st.port, toxics=["blackhole"]) as proxy:
-            client = Client(proxy.host, proxy.port, timeout=0.3)
+            client = _Connection(proxy.host, proxy.port, timeout=0.3)
             with pytest.raises(NetError):
                 client.connect()  # HELLO never arrives
             client.close()
@@ -410,7 +415,7 @@ def test_blackhole_toxic_surfaces_as_a_client_timeout():
 
 def test_proxy_with_dead_upstream_fails_connections_typed():
     with ProxyThread("127.0.0.1", _free_port()) as proxy:
-        client = Client(proxy.host, proxy.port, timeout=2)
+        client = _Connection(proxy.host, proxy.port, timeout=2)
         with pytest.raises(NetError):
             client.connect()
         client.close()
@@ -455,7 +460,7 @@ def test_resilient_client_survives_flapping_with_digest_parity(
                     proxy.drop_connections()
 
             thread = threading.Thread(target=flapper, daemon=True)
-            client = ResilientClient(
+            client = Client(
                 proxy.host,
                 proxy.port,
                 timeout=5,
@@ -496,7 +501,7 @@ def test_through_proxy_differential_256_instances_with_faults():
         with ProxyThread(
             st.host, st.port, toxics=["latency:1", "disconnect:65536"]
         ) as proxy:
-            client = ResilientClient(
+            client = Client(
                 proxy.host,
                 proxy.port,
                 timeout=10,
@@ -516,7 +521,7 @@ def test_resilient_submit_channel_is_stable_across_reconnects():
     requests = _requests(3, seed0=1450)
     with ServerThread(workers=2) as st:
         with ProxyThread(st.host, st.port) as proxy:
-            with ResilientClient(
+            with Client(
                 proxy.host,
                 proxy.port,
                 timeout=5,
@@ -529,6 +534,41 @@ def test_resilient_submit_channel_is_stable_across_reconnects():
                 assert client.reconnects >= 1
 
 
+def test_client_counters_survive_a_reconnect():
+    """The counters the benchmark reads (wire bytes, cache hits) keep
+    counting across a dropped connection and never go down."""
+    names = (
+        "bytes_sent", "bytes_received", "cache_hits",
+        "reconnects", "resubmits", "retry_afters",
+    )
+    with ServerThread(workers=2) as st:
+        with ProxyThread(st.host, st.port) as proxy:
+            with Client(
+                proxy.host,
+                proxy.port,
+                timeout=5,
+                backoff=BackoffPolicy(base_s=0.01, max_s=0.1, deadline_s=20),
+            ) as client:
+                snapshots = []
+
+                def snapshot():
+                    snapshots.append({n: getattr(client, n) for n in names})
+
+                snapshot()
+                client.run(_requests(4, seed0=1455), chunk=2)
+                snapshot()
+                proxy.drop_connections()
+                snapshot()
+                client.run(_requests(4, seed0=1456), chunk=2)
+                snapshot()
+    assert client.reconnects == 1
+    before, after = snapshots[2], snapshots[3]
+    assert after["bytes_sent"] > before["bytes_sent"]
+    assert after["bytes_received"] > before["bytes_received"]
+    for earlier, later in zip(snapshots, snapshots[1:]):
+        assert all(later[n] >= earlier[n] for n in names), (earlier, later)
+
+
 def test_server_death_mid_collect_is_typed_and_fast(sleepy_algorithm):
     """The mid-collect cleanup satellite: killing the connection while
     collect() is blocked yields a typed error immediately, and every
@@ -537,7 +577,7 @@ def test_server_death_mid_collect_is_typed_and_fast(sleepy_algorithm):
     requests = _sleepy_requests(4, sleepy_algorithm, seed0=1460)
     with ServerThread(workers=2) as st:
         with ProxyThread(st.host, st.port) as proxy:
-            client = Client(proxy.host, proxy.port, timeout=10)
+            client = _Connection(proxy.host, proxy.port, timeout=10)
             client.connect()
             channel = client.submit(requests)
             killer = threading.Timer(0.05, proxy.drop_connections)
@@ -616,7 +656,7 @@ def test_saturated_gateway_refuses_with_retry_after(sleepy_algorithm):
     with ServerThread(
         workers=1, queue_cap=2, policy="block", session_quota=64
     ) as st:
-        with Client(st.host, st.port, timeout=10) as client:
+        with _Connection(st.host, st.port, timeout=10) as client:
             ch_big = client.submit(big)
             ch_small = client.submit(small)
             from repro.service.net import ServerError
@@ -640,7 +680,7 @@ def test_resilient_client_honours_retry_after(sleepy_algorithm):
     with ServerThread(
         workers=1, queue_cap=2, policy="block", session_quota=64
     ) as st:
-        with ResilientClient(
+        with Client(
             st.host,
             st.port,
             timeout=10,
@@ -657,8 +697,18 @@ def test_resilient_client_honours_retry_after(sleepy_algorithm):
 # -- dial failures: retries exhausted, circuit breaking, recovery ------------
 
 
+def test_connection_to_a_dead_address_is_a_typed_error():
+    """A refused dial is a typed SessionClosed like every later socket
+    failure, not a raw ConnectionRefusedError."""
+    client = _Connection("127.0.0.1", _free_port(), timeout=2)
+    with pytest.raises(SessionClosed):
+        client.connect()
+    assert not client.connected
+    client.close()
+
+
 def test_dead_server_exhausts_retries_with_a_typed_error():
-    client = ResilientClient(
+    client = Client(
         "127.0.0.1",
         _free_port(),
         timeout=0.5,
@@ -673,7 +723,7 @@ def test_dead_server_exhausts_retries_with_a_typed_error():
 
 
 def test_open_circuit_fails_fast():
-    client = ResilientClient(
+    client = Client(
         "127.0.0.1",
         _free_port(),
         timeout=0.5,
@@ -692,7 +742,7 @@ def test_open_circuit_fails_fast():
 def test_half_open_probe_recovers_when_the_server_returns():
     port = _free_port()
     breaker = CircuitBreaker(threshold=1, reset_s=0.15)
-    client = ResilientClient(
+    client = Client(
         "127.0.0.1",
         port,
         timeout=2,
@@ -754,7 +804,7 @@ def test_resilient_client_rejects_pre_v2_servers_without_retrying():
     thread = threading.Thread(target=v1_only_server, daemon=True)
     thread.start()
     try:
-        client = ResilientClient("127.0.0.1", port, timeout=2)
+        client = Client("127.0.0.1", port, timeout=2)
         t0 = time.perf_counter()
         with pytest.raises(HandshakeError):
             client.connect()
@@ -814,13 +864,27 @@ def test_cli_selfcheck_resilient_through_the_fault_proxy(capsys):
             "selfcheck",
             "--requests", "12",
             "--workers", "2",
-            "--resilient",
             "--toxic", "latency:1",
         ]
     )
     out = capsys.readouterr().out
     assert rc == 0
     assert "selfcheck: sequential digest -> match" in out
+
+
+def test_cli_client_at_a_dead_address_prints_one_line(capsys):
+    """The client gives up on a dead address with exit 1 and one stderr
+    line naming the typed error, not a traceback."""
+    from repro.service.__main__ import main
+
+    assert main(
+        ["client", "--port", str(_free_port()), "--requests", "2"]
+    ) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("net error ("), lines
+    assert "Traceback" not in captured.err
 
 
 def test_cli_soak_passes_all_four_gates(capsys):
@@ -854,7 +918,7 @@ def test_public_resilience_api_is_documented():
     for cls in (
         BackoffPolicy,
         CircuitBreaker,
-        ResilientClient,
+        Client,
         Toxic,
         FaultProxy,
         ProxyThread,

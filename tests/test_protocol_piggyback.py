@@ -14,6 +14,7 @@ import pytest
 from repro.core import (
     CapacityExceeded,
     CongestedClique,
+    FastEngine,
     Packet,
     ProtocolError,
     attach_piggyback,
@@ -22,7 +23,10 @@ from repro.core import (
     strip_piggyback,
 )
 
-ENGINES = ["reference", "fast-audit"]
+ENGINES = [
+    "reference",
+    pytest.param(FastEngine(validation="full"), id="fast-audit"),
+]
 
 
 def test_round_trip_recovers_every_broadcast_word():

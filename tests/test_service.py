@@ -281,6 +281,12 @@ def test_cli_rejects_bad_mix(capsys):
         (["soak", "--duration", "1", "--rate", "2",
           "--scenario-mix", "routing/never"], "bad mix entry"),
         (["soak", "--rate", "0"], "need rate > 0"),
+        (["selfcheck", "--workers", "0"], "--workers must be >= 1"),
+        (["soak", "--workers", "0"], "--workers must be >= 1"),
+        (["chaos", "--straggler-frac", "2"],
+         "straggler_frac must be in [0, 1]"),
+        (["chaos", "--straggler-frac", "-0.5"],
+         "straggler_frac must be in [0, 1]"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
