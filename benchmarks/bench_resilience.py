@@ -80,9 +80,7 @@ def _measure():
         execute_request(r) for r in requests
     )
 
-    with ServerThread(
-        workers=WORKERS, engine=ENGINE, queue_cap=256, policy="block"
-    ) as st:
+    with ServerThread(workers=WORKERS, engine=ENGINE, queue_cap=256) as st:
         # -- recovery: forced flap -> next completed request ----------------
         with ProxyThread(st.host, st.port) as proxy:
             with _client(proxy) as client:

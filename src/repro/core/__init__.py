@@ -24,8 +24,6 @@ from .engine import (
     RunRequest,
     RunSummary,
     available_engines,
-    fast_request,
-    fast_summary,
     get_engine,
     register_engine,
 )
@@ -89,8 +87,6 @@ __all__ = [
     "RunResult",
     "RunRequest",
     "RunSummary",
-    "fast_request",
-    "fast_summary",
     "run_protocol",
     "ExecutionEngine",
     "ReferenceEngine",

@@ -175,74 +175,6 @@ class RunSummary:
     latency_s: float = 0.0
 
 
-_new_request = RunRequest.__new__
-_new_summary = RunSummary.__new__
-_set_attr = object.__setattr__
-
-
-def fast_request(
-    kind: str,
-    family: str,
-    n: int,
-    seed: int,
-    algorithm: Optional[str],
-    engine: Optional[str],
-    tag: str,
-    deadline_ms: Optional[float],
-) -> RunRequest:
-    """Build a :class:`RunRequest` without dataclass ``__init__`` overhead.
-
-    The envelope decoder (:mod:`repro.service.transport`) materializes
-    thousands of requests per batch; this skips argument re-binding and —
-    because ``RunRequest`` is frozen — the per-field ``__setattr__`` guard
-    by installing the instance ``__dict__`` wholesale.  All eight fields
-    are required: the decoder always has full columns.
-    """
-    r = _new_request(RunRequest)
-    _set_attr(r, "__dict__", {
-        "kind": kind, "family": family, "n": n, "seed": seed,
-        "algorithm": algorithm, "engine": engine, "tag": tag,
-        "deadline_ms": deadline_ms,
-    })
-    return r
-
-
-def fast_summary(
-    request: RunRequest,
-    engine: str,
-    digest: str,
-    error: str,
-    status: str,
-    ok: int,
-    rounds: int,
-    total_packets: int,
-    total_words: int,
-    max_edge_words: int,
-    shared_cache_hits: int,
-    shared_cache_misses: int,
-    wall_s: float,
-    queue_s: float,
-    latency_s: float,
-) -> RunSummary:
-    """Build a :class:`RunSummary` without dataclass ``__init__`` overhead.
-
-    Companion of :func:`fast_request` for the result direction; ``ok``
-    accepts the wire's byte column (any truthy int) and is normalized to
-    ``bool``.
-    """
-    s = _new_summary(RunSummary)
-    s.__dict__ = {
-        "request": request, "ok": bool(ok), "engine": engine,
-        "rounds": rounds, "total_packets": total_packets,
-        "total_words": total_words, "max_edge_words": max_edge_words,
-        "digest": digest, "wall_s": wall_s,
-        "shared_cache_hits": shared_cache_hits,
-        "shared_cache_misses": shared_cache_misses, "error": error,
-        "status": status, "queue_s": queue_s, "latency_s": latency_s,
-    }
-    return s
-
-
 def coerce_outbox(raw: Any, src: int, n: int) -> Dict[int, Packet]:
     """Normalize a yielded outbox and check addressing."""
     if raw is None:

@@ -556,8 +556,8 @@ class FrozenBypassConstruction(Rule):
     description = (
         "Frozen-dataclass fast construction (`Cls.__new__` + `__dict__` "
         "install) is sanctioned only in the envelope decode paths "
-        "(core/engine.py fast_* helpers, core/wire.py, service/transport"
-        ".py); everywhere else use the real constructor."
+        "(core/wire.py, service/transport.py); everywhere else use the "
+        "real constructor."
     )
     rationale = (
         "The __new__ bypass skips __init__ validation and field defaults; "
@@ -565,7 +565,6 @@ class FrozenBypassConstruction(Rule):
         "explicitly installed and benchmarked."
     )
     exclude = (
-        "*/core/engine.py",
         "*/core/wire.py",
         "*/service/transport.py",
     )

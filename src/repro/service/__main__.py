@@ -180,7 +180,7 @@ _FLAGS: Dict[str, Dict[str, Any]] = {
     ),
 }
 
-_GATEWAY = "workers engine backend queue_cap policy deadline_ms"
+_GATEWAY = "workers engine backend queue_cap deadline_ms"
 _WORKLOAD = "requests scenario_mix seed"
 
 
@@ -647,8 +647,8 @@ def _parser() -> argparse.ArgumentParser:
          f"workers engine {_WORKLOAD} json selfcheck record",
          "run a mixed batch; per-family rollups", workers=0)
     verb(verbs, "stream", _stream,
-         f"rate duration arrivals micro_batch {_GATEWAY} {_WORKLOAD} json "
-         "selfcheck record",
+         f"rate duration arrivals micro_batch {_GATEWAY} policy {_WORKLOAD} "
+         "json selfcheck record",
          "open-loop stream through the gateway; tail latency",
          requests=None)
     verb(verbs, "chaos", _chaos,
@@ -684,7 +684,7 @@ def _parser() -> argparse.ArgumentParser:
          f"host port {_GATEWAY} scenario_mix seed duration rate flap_every "
          "toxic json",
          "flapping fault proxy + reconnecting client; four gates",
-         policy="block", duration=60.0, rate=4.0, **loopback)
+         duration=60.0, rate=4.0, **loopback)
     return parser
 
 

@@ -67,6 +67,7 @@ _RESILIENCE_EXPORTS = (
     "BackoffPolicy",
     "CircuitBreaker",
     "CircuitOpen",
+    "QuotaExceeded",
     "RetriesExhausted",
 )
 _FAULTPROXY_EXPORTS = ("FaultProxy", "ProxyThread", "Toxic", "parse_toxic")

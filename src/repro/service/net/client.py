@@ -26,8 +26,8 @@ from the envelope it submitted (the same rule the in-process transport
 enforces).
 
 Invariant (DESIGN.md §13): *at-least-once delivery, at-most-once
-execution*.  Every retry loop of :class:`Client` is bounded twice:
-per attempt by the socket timeout, overall by
+execution*.  The one retry loop of :class:`Client` is bounded twice:
+per attempt by the socket timeout, overall by the attempt cap and
 :attr:`~repro.service.net.resilience.BackoffPolicy.deadline_s` — a dead
 server surfaces as a typed
 :class:`~repro.service.net.resilience.RetriesExhausted` (or
@@ -44,7 +44,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar, Union
 
-from ...core.engine import STATUS_REJECTED, RunRequest, RunSummary
+from ...core.engine import RunRequest, RunSummary
 from ..batch import execute_request
 from . import protocol
 from .framing import (
@@ -76,6 +76,7 @@ from .resilience import (
     BackoffPolicy,
     CircuitBreaker,
     CircuitOpen,
+    QuotaExceeded,
     RetriesExhausted,
 )
 
@@ -610,18 +611,23 @@ class Client(_Connection):
     """The TCP client of a :class:`~repro.service.net.server.NetServer`:
     reconnects, deduplicates, honours overload (see module docstring).
 
-    Any connection-fatal typed error (reset, timeout, truncated or
-    corrupt frame, server goodbye) drops the socket; the next call
-    dials again after a jittered exponential ``backoff``, and once
-    ``breaker.threshold`` consecutive dials have failed the ``breaker``
-    fails calls fast with a typed :class:`CircuitOpen` until its reset
-    time has passed.  Every connection sends ``RESUME`` with the
-    client's lineage (a fresh UUID per client, so distinct clients
-    never share results) before any submit, and every envelope not yet
-    collected is shipped again under its original idempotency key: the
-    server's lineage cache answers whatever already executed.  A
-    ``retry-after`` refusal sleeps the server's hint and resubmits;
-    rows the gateway rejected retry under a fresh key.
+    Every public call runs in one retry loop.  Each pass dials first if
+    the session is gone (connect, then ``RESUME`` with the client's
+    lineage), then makes the call; a connection-fatal typed error
+    (reset, timeout, truncated or corrupt frame, server goodbye) drops
+    the socket, and the loop sleeps a jittered exponential ``backoff``
+    delay and passes again.  One attempt cap and one deadline bound the
+    whole call.  The ``breaker`` counts consecutive failed dials: the
+    one that reaches ``breaker.threshold`` raises a typed
+    :class:`CircuitOpen` at once, and so does every dial until the
+    breaker's reset time has passed.  A ``retry-after`` refusal sleeps
+    the server's hint and resubmits.  The lineage is a fresh UUID per
+    client, so distinct clients never share results, and every envelope
+    not yet collected is shipped again under its original idempotency
+    key: the server's lineage cache answers whatever already executed.
+    An envelope larger than the session quota raises
+    :class:`QuotaExceeded` from :meth:`submit`: the server would refuse
+    it every time.
 
     Channel ids name the logical envelope and stay valid across
     reconnects.  The counters (``bytes_sent``, ``bytes_received``,
@@ -670,50 +676,58 @@ class Client(_Connection):
             "breaker_failures": self.breaker.failures,
         }
 
-    # -- connection management -----------------------------------------------
+    # -- the retry loop ------------------------------------------------------
 
-    def connect(self) -> "Client":
-        """Dial (with backoff and breaker), handshake, bind the lineage."""
-        self._redial(self._deadline())
-        return self
+    def _retrying(self, call: Callable[[], _T]) -> _T:
+        """Run ``call()`` on a live session: the one retry loop.
 
-    def _deadline(self) -> float:
-        return time.monotonic() + self.backoff.deadline_s
+        Each pass makes at most one dial, then the call; a failed pass
+        backs off and passes again.  An open circuit and a handshake
+        failure end the loop at once: no retry can outlast either.
+        """
+        deadline = time.monotonic() + self.backoff.deadline_s
+        attempt = 0
+        while True:
+            try:
+                if not self.connected:
+                    self._dial()
+                return call()
+            except (CircuitOpen, HandshakeError):
+                raise
+            except NetError as exc:
+                attempt += 1
+                self._back_off(attempt, deadline, exc)
 
-    def _redial(self, deadline: float) -> None:
-        """Drop the socket, dial until a session is bound to the lineage;
-        every uncollected envelope is then shipped again."""
+    def _dial(self) -> None:
+        """Drop the socket and make one dial behind the breaker: connect
+        and bind the lineage.  Every uncollected envelope is then shipped
+        again when its channel is collected."""
         super().close()
         for env in self._envelopes.values():
             env.shipped = False
-        attempt = 0
-        while True:
-            if not self.breaker.allow():
-                raise CircuitOpen(
-                    f"circuit open after {self.breaker.failures} "
-                    f"consecutive connect failures to "
-                    f"{self.host}:{self.port} (reset in "
-                    f"{self.breaker.reset_s}s)"
-                )
+        if self.breaker.allow():
             try:
                 super().connect()
                 super().resume(self.lineage)
-            except HandshakeError:
-                # a version/protocol mismatch is configuration, not
-                # weather: retrying cannot fix it, so fail loudly now.
-                self.breaker.record_failure()
-                raise
             except NetError as exc:
                 self._abort()  # a malformed RESUMED leaves the socket open
                 self.breaker.record_failure()
-                attempt += 1
-                self._back_off(attempt, deadline, exc)
-                continue
-            self.breaker.record_success()
-            if self._dialled:
-                self.reconnects += 1
-            self._dialled = True
-            return
+                # the failure that opens the breaker fails fast, below
+                if isinstance(exc, HandshakeError) or (
+                    self.breaker.state != "open"
+                ):
+                    raise
+            else:
+                self.breaker.record_success()
+                if self._dialled:
+                    self.reconnects += 1
+                self._dialled = True
+                return
+        raise CircuitOpen(
+            f"circuit open after {self.breaker.failures} consecutive "
+            f"connect failures to {self.host}:{self.port} (reset in "
+            f"{self.breaker.reset_s}s)"
+        )
 
     def _back_off(
         self, attempt: int, deadline: float, cause: NetError
@@ -748,20 +762,12 @@ class Client(_Connection):
             ) from cause
         time.sleep(delay)
 
-    def _retrying(self, call: Callable[[], _T], deadline: float) -> _T:
-        """``call()`` on a live session; after a failure, back off,
-        redial if the session is gone, and call again."""
-        attempt = 0
-        while True:
-            try:
-                if not self.connected:
-                    self._redial(deadline)
-                return call()
-            except NetError as exc:
-                attempt += 1
-                self._back_off(attempt, deadline, exc)
-
     # -- contract ------------------------------------------------------------
+
+    def connect(self) -> "Client":
+        """Dial (with backoff and breaker), handshake, bind the lineage."""
+        super().close()
+        return self._retrying(lambda: self)
 
     def submit(
         self, requests: Sequence[RunRequest], *, key: Optional[str] = None
@@ -770,20 +776,24 @@ class Client(_Connection):
 
         The returned channel id is *stable across reconnects*: it names
         the logical envelope, not any single wire submission.  If the
-        wire fails here, :meth:`collect` ships (or re-ships) it.
+        wire fails here, :meth:`collect` ships (or re-ships) it.  An
+        envelope larger than the session quota raises
+        :class:`QuotaExceeded` before it is sent.
         """
-        if not self.connected:
-            self._redial(self._deadline())
-        channel = self._track(requests, key if key else uuid.uuid4().hex)
+        self._retrying(lambda: None)  # dial if the session is gone
+        if len(requests) > self.session_quota:
+            raise QuotaExceeded(
+                f"envelope of {len(requests)} requests exceeds the session "
+                f"quota of {self.session_quota}"
+            )
+        channel = self._register(requests)
+        self._envelopes[channel] = _Envelope(
+            key if key else uuid.uuid4().hex, self._requests[channel]
+        )
         try:
             self._ship(channel)
         except NetError:
             pass  # collect() owns the retry loop; the envelope stays queued
-        return channel
-
-    def _track(self, requests: Sequence[RunRequest], key: str) -> int:
-        channel = self._register(requests)
-        self._envelopes[channel] = _Envelope(key, self._requests[channel])
         return channel
 
     def _ship(self, channel: int) -> None:
@@ -799,14 +809,9 @@ class Client(_Connection):
 
     def collect(self, channel: int) -> List[RunSummary]:
         """Drive one envelope to its summaries, whatever the wire does."""
-        if channel not in self._envelopes:
+        env = self._envelopes.get(channel)
+        if env is None:
             raise NetError(f"channel {channel} was never submitted")
-        return self._finish(channel, self._deadline())
-
-    def _finish(self, channel: int, deadline: float) -> List[RunSummary]:
-        """(Re)ship and collect ``channel`` until it executed; retry the
-        rows the gateway rejected; forget the envelope."""
-        env = self._envelopes[channel]
         collect = super().collect
 
         def once() -> List[RunSummary]:
@@ -825,47 +830,24 @@ class Client(_Connection):
                     env.shipped = False
                 raise
 
-        summaries = self._retrying(once, deadline)
-        while True:
-            rejected = [
-                i for i, s in enumerate(summaries)
-                if s.status == STATUS_REJECTED
-            ]
-            if not rejected or time.monotonic() > deadline:
-                # out of budget, the honest partial result: rejected
-                # rows are typed failures, not silent gaps.
-                break
-            # Rejected rows never executed, and the mixed result was not
-            # cached, so they retry as a smaller envelope under a fresh
-            # key: the original key would execute the completed rows
-            # a second time.
-            retry = self._track(
-                [env.requests[i] for i in rejected], uuid.uuid4().hex
-            )
-            self.resubmits += 1
-            time.sleep(self.backoff.delay_s(1, self._rng))
-            redone = self._finish(retry, deadline)
-            for slot, summary in zip(rejected, redone):
-                summaries[slot] = summary
+        summaries = self._retrying(once)
         del self._envelopes[channel]
         return summaries
 
     def drain(self) -> int:
         """In-band barrier on the current connection (redials if needed)."""
-        return self._retrying(super().drain, self._deadline())
+        return self._retrying(super().drain)
 
     def resume(self, lineage: str) -> List[str]:
         """Bind this client, and every connection it dials from now on,
         to ``lineage``; returns the keys the server holds results for."""
-        keys = self._retrying(
-            partial(super().resume, lineage), self._deadline()
-        )
+        keys = self._retrying(partial(super().resume, lineage))
         self.lineage = lineage
         return keys
 
     def metrics(self) -> Dict[str, object]:
         """The server's metrics rollup (redials if needed)."""
-        return self._retrying(super().metrics, self._deadline())
+        return self._retrying(super().metrics)
 
     def close(self) -> None:
         """Close the connection and forget every uncollected envelope
@@ -910,9 +892,9 @@ class MockClient(CommonClient):
     ) -> int:
         """Execute one envelope eagerly; returns its channel id.
 
-        ``key`` is accepted for contract parity and remembered, but an
-        in-memory client has no wire to lose results on — dedup never
-        has anything to do.
+        ``key`` is accepted for contract parity and ignored: an
+        in-memory client has no wire to lose results on, so there is
+        nothing to deduplicate.
         """
         if self._session is None:
             raise SessionClosed("client is not connected")

@@ -10,7 +10,9 @@ with:
   failures calls fail fast with a typed :class:`CircuitOpen` until
   ``reset_s`` has passed (then one half-open probe decides);
 * :class:`RetriesExhausted` — the budget ran out: a dead server
-  surfaces as this typed error (or :class:`CircuitOpen`), never a hang.
+  surfaces as this typed error (or :class:`CircuitOpen`), never a hang;
+* :class:`QuotaExceeded` — an envelope larger than the session quota,
+  which no retry could ever get admitted.
 
 See DESIGN.md §13 for the invariant the client holds with them:
 *at-least-once delivery, at-most-once execution*.
@@ -29,6 +31,7 @@ __all__ = [
     "BackoffPolicy",
     "CircuitBreaker",
     "CircuitOpen",
+    "QuotaExceeded",
     "RetriesExhausted",
 ]
 
@@ -46,6 +49,14 @@ class RetriesExhausted(NetError):
     before the operation could complete."""
 
     code = "retries-exhausted"
+
+
+class QuotaExceeded(NetError):
+    """An envelope holds more requests than the session quota: the
+    server would refuse it on every attempt, so the client raises this
+    before sending it."""
+
+    code = "quota-exceeded"
 
 
 @dataclass(frozen=True)

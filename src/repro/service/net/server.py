@@ -15,7 +15,8 @@ end needs:
 * per-client **session ids** and a per-session **queue quota** — the
   first fairness policy: one greedy client exhausts its own quota, not
   the shared gateway queue;
-* per-lineage idempotency caching and overload admission control;
+* per-lineage idempotency caching and overload admission control, with
+  the quota capped at the gateway queue so no admitted row is rejected;
 * summaries sent as envelopes complete (clients correlate by channel);
 * graceful shutdown: stop accepting, flush every in-flight summary,
   say GOODBYE, then close the gateway.
@@ -91,7 +92,7 @@ DEFAULT_IDEMPOTENCY_KEYS = 512
 #: bound on distinct lineages the server remembers (FIFO-evicted).
 DEFAULT_MAX_LINEAGES = 64
 
-#: backoff hint stamped into ``retry-after`` errors (admission control).
+#: the backoff hint every ``retry-after`` refusal carries (admission control).
 DEFAULT_RETRY_AFTER_MS = 50.0
 
 #: a connection that has not completed NEGOTIATE within this window is
@@ -165,11 +166,12 @@ class NetServer:
     """TCP front end for a :class:`StreamGateway` (see module docstring).
 
     Gateway-shaping keyword arguments (``workers``, ``engine``,
-    ``backend``, ``queue_cap``, ``policy``, ``deadline_ms``) are passed
-    through to the owned gateway verbatim; the gateway dispatches one
-    request per executor hop.  ``session_quota``, ``max_frame``,
-    ``idempotency_keys`` and ``retry_after_ms`` are the network layer's
-    own knobs.
+    ``backend``, ``queue_cap``, ``deadline_ms``) are passed through to
+    the owned gateway verbatim; the gateway dispatches one request per
+    executor hop.  ``session_quota``, ``max_frame`` and
+    ``idempotency_keys`` are the network layer's own knobs; the
+    advertised quota is ``min(session_quota, queue_cap)``, so every
+    envelope the server admits fits the gateway queue (:meth:`_saturated`).
 
     Lifecycle mirrors the gateway: ``await start()``, serve, ``await
     close()``.  ``port=0`` binds an ephemeral port; read ``.port`` after
@@ -185,12 +187,10 @@ class NetServer:
         engine: str = "fast",
         backend: str = "thread",
         queue_cap: int = 64,
-        policy: str = "reject",
         deadline_ms: Optional[float] = None,
         session_quota: int = DEFAULT_SESSION_QUOTA,
         max_frame: int = MAX_FRAME_BYTES,
         idempotency_keys: int = DEFAULT_IDEMPOTENCY_KEYS,
-        retry_after_ms: float = DEFAULT_RETRY_AFTER_MS,
     ) -> None:
         if session_quota < 1:
             raise ValueError("session_quota must be >= 1")
@@ -198,22 +198,18 @@ class NetServer:
             raise ValueError("max_frame must be >= 1024")
         if idempotency_keys < 1:
             raise ValueError("idempotency_keys must be >= 1")
-        if retry_after_ms <= 0:
-            raise ValueError("retry_after_ms must be > 0")
         self._requested_host = host
         self._requested_port = port
-        self.session_quota = int(session_quota)
-        self.max_frame = int(max_frame)
-        self.idempotency_keys = int(idempotency_keys)
-        self.retry_after_ms = float(retry_after_ms)
         self.gateway = StreamGateway(
             workers=workers,
             engine=engine,
             backend=backend,
             queue_cap=queue_cap,
-            policy=policy,
             deadline_ms=deadline_ms,
         )
+        self.session_quota = min(int(session_quota), self.gateway.queue_cap)
+        self.max_frame = int(max_frame)
+        self.idempotency_keys = int(idempotency_keys)
         self._server: Optional[asyncio.AbstractServer] = None
         self._sessions: Dict[int, _Session] = {}
         self._lineages: "OrderedDict[str, _Lineage]" = OrderedDict()
@@ -476,8 +472,8 @@ class NetServer:
                 return
         if self._saturated(len(requests)):
             # Admission control: convert gateway-queue saturation into a
-            # typed, survivable backoff hint instead of letting the reject
-            # policy fail the individual requests.
+            # typed, survivable backoff hint instead of letting the gateway
+            # reject the individual requests.
             await self._try_send(
                 session,
                 _control(
@@ -491,7 +487,7 @@ class NetServer:
                             f"{channel} after backoff"
                         ),
                         "channel": channel,
-                        "retry_after_ms": self.retry_after_ms,
+                        "retry_after_ms": DEFAULT_RETRY_AFTER_MS,
                     },
                 ),
             )
@@ -533,8 +529,9 @@ class NetServer:
         """Whether admission control should refuse this envelope.
 
         Only refuses when the queue already holds work (``depth > 0``):
-        an envelope larger than the whole queue capacity must still be
-        admitted once the queue is empty, or it could never run at all.
+        an idle queue takes any envelope within the quota, which never
+        exceeds the queue capacity.  An admitted envelope's rows are all
+        enqueued before the loop runs anything else: none is rejected.
         """
         depth = self.gateway.queue_depth
         return depth > 0 and depth + incoming > self.gateway.queue_cap

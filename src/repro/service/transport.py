@@ -137,9 +137,9 @@ def decode_requests(buf: bytes) -> List[RunRequest]:
     n, off = read_i64_col(buf, off, count)
     seed, off = read_i64_col(buf, off, count)
     deadline, off = read_opt_f64_col(buf, off, count)
-    # Inlined fast_request: per-row function-call overhead is measurable
-    # at envelope sizes (bench_transport gates the ratio), so the hot
-    # decode builds each frozen instance's dict as a literal in place.
+    # A constructor call per row is measurable at envelope sizes
+    # (bench_transport gates the ratio), so the hot decode builds each
+    # frozen instance's dict as a literal in place.
     new = RunRequest.__new__
     set_attr = object.__setattr__
     out: List[RunRequest] = []
@@ -218,8 +218,8 @@ def decode_summaries(
     wall, off = read_f64_col(buf, off, count)
     queue, off = read_f64_col(buf, off, count)
     latency, off = read_f64_col(buf, off, count)
-    # Inlined fast_summary, same reasoning as decode_requests.  ``ok``
-    # rides a 0/1 byte column and is re-booled column-wise.
+    # Dict literals in place, as in decode_requests.  ``ok`` rides a 0/1
+    # byte column and is re-booled column-wise.
     new = RunSummary.__new__
     out: List[RunSummary] = []
     append = out.append

@@ -5,9 +5,9 @@ frames, mid-frame disconnects, refused protocol versions — never
 hangs), the 256-instance digest-parity differential (remote client ==
 MockClient == in-process gateway == sequential), the drain test (server
 shutdown with in-flight tickets resolves every future), per-session
-quotas and survivable refusals, and the docstring pass over the public
-client API, and the ``serve`` CLI's SIGINT shutdown when it was started
-with SIGINT ignored.
+quotas capped at the gateway queue and survivable refusals, the
+docstring pass over the public client API, and the ``serve`` CLI's
+SIGINT shutdown when it was started with SIGINT ignored.
 """
 
 import os
@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.engine import STATUS_COMPLETED
 from repro.scenarios.generators import (
     REMOTE_SELFCHECK_MIX,
     mixed_batch,
@@ -383,6 +384,38 @@ def test_refusal_does_not_leak_into_other_calls():
             assert len(summaries) == 4 and all(s.ok for s in summaries)
 
 
+def test_quota_never_exceeds_the_gateway_queue():
+    """The server caps the session quota at its queue capacity, so an
+    envelope the queue could not hold is refused whole with
+    ``quota-exceeded`` instead of being admitted and losing rows to the
+    gateway."""
+    with ServerThread(workers=1, queue_cap=4) as st:
+        with _Connection(st.host, st.port, timeout=30) as client:
+            assert client.session_quota == 4
+            assert client.server_info["quota"] == 4
+            channel = client.submit(_requests(20))
+            with pytest.raises(ServerError) as excinfo:
+                client.collect(channel)
+            assert excinfo.value.code == "quota-exceeded"
+            assert client.metrics()["gateway"]["offered"] == 0
+
+
+def test_no_admitted_row_is_rejected():
+    """``Client.run`` through a 4-slot queue: every row executes once,
+    the gateway rejects none, and nothing is resubmitted."""
+    requests = _requests(20)
+    expected = BatchService(workers=0).run_batch(requests).batch_digest()
+    with ServerThread(workers=1, queue_cap=4) as st:
+        with Client(st.host, st.port, timeout=30) as client:
+            summaries = client.run(requests, chunk=20)
+            gateway = client.metrics()["gateway"]
+            assert client.resubmits == 0
+    assert [s.status for s in summaries] == [STATUS_COMPLETED] * 20
+    assert gateway["offered"] == gateway["completed"] == 20
+    assert gateway["rejected"] == 0
+    assert summaries_digest(summaries) == expected
+
+
 def test_oversized_summary_is_a_typed_error_not_a_hang():
     """A SUMMARY larger than the server's own ``max_frame`` cannot be
     sent: the client gets a fatal ``oversized-frame`` ERROR naming the
@@ -574,6 +607,20 @@ def test_cli_selfcheck(capsys):
     assert main(["selfcheck", "--requests", "10", "--workers", "2"]) == 0
     out = capsys.readouterr().out
     assert "selfcheck: sequential digest -> match" in out
+
+
+@pytest.mark.parametrize("verb", ["serve", "selfcheck", "soak"])
+def test_server_verbs_take_no_queue_policy(verb, capsys):
+    """A server's gateway never sees more rows than its queue holds, so
+    the verbs that start one have no ``--policy``; ``stream`` keeps it."""
+    from repro.service.__main__ import _parser
+
+    with pytest.raises(SystemExit) as exc:
+        _parser().parse_args([verb, "--policy", "block"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --policy block" in capsys.readouterr().err
+    args = _parser().parse_args(["stream", "--policy", "block"])
+    assert args.policy == "block"
 
 
 def test_serve_stops_on_sigint_inherited_as_ignored():

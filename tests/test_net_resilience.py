@@ -5,8 +5,9 @@ grammar, the protocol codec's CRC armour, the parametrized
 :class:`CommonClient` contract suite over the two public clients and the
 private single-socket connection, the through-proxy differential (digest
 parity under injected faults, zero duplicate executions), the server's
-admission control and lineage cache semantics, and the cleanup /
-idempotent-close contracts on every error path.
+admission control and lineage cache semantics, the client's one retry
+loop (its dials and backoff sleeps counted, not timed), and the
+cleanup / idempotent-close contracts on every error path.
 """
 
 import json
@@ -14,6 +15,7 @@ import socket
 import struct
 import threading
 import time
+import types
 import zlib
 
 import pytest
@@ -34,6 +36,7 @@ from repro.service.net import (
     SessionClosed,
     TruncatedFrame,
 )
+from repro.service.net import client as client_module
 from repro.service.net import protocol
 from repro.service.net.client import (
     Client,
@@ -63,6 +66,7 @@ from repro.service.net.resilience import (
     BackoffPolicy,
     CircuitBreaker,
     CircuitOpen,
+    QuotaExceeded,
     RetriesExhausted,
 )
 from repro.service.net.server import ServerThread
@@ -102,6 +106,29 @@ def sleepy_algorithm():
     register_algorithm(AlgorithmSpec(kind="routing", name=name, run=run))
     yield name
     del ALGORITHMS[("routing", name)]
+
+
+@pytest.fixture
+def retry_log(monkeypatch):
+    """The client's dials and backoff sleeps, in order.  The client
+    module's ``time.sleep`` is replaced, so a backoff returns at once
+    and the tests count sleeps instead of timing them."""
+    log = []
+    dial = _Connection.connect
+
+    def logged_dial(self):
+        log.append("dial")
+        return dial(self)
+
+    monkeypatch.setattr(_Connection, "connect", logged_dial)
+    monkeypatch.setattr(
+        client_module,
+        "time",
+        types.SimpleNamespace(
+            monotonic=time.monotonic, sleep=lambda s: log.append("sleep")
+        ),
+    )
+    return log
 
 
 def _sleepy_requests(batch, sleepy, seed0=88):
@@ -451,7 +478,7 @@ def test_resilient_client_survives_flapping_with_digest_parity(
     and the gateway executed each request exactly once."""
     requests = _sleepy_requests(24, sleepy_algorithm, seed0=1440)
     expected = BatchService(workers=0).run_batch(requests).batch_digest()
-    with ServerThread(workers=2, queue_cap=256, policy="block") as st:
+    with ServerThread(workers=2, queue_cap=256) as st:
         with ProxyThread(st.host, st.port) as proxy:
             stop = threading.Event()
 
@@ -497,7 +524,7 @@ def test_through_proxy_differential_256_instances_with_faults():
         remote_selfcheck_batch(256, seed0=0), engine="fast"
     )
     expected = BatchService(workers=0).run_batch(requests).batch_digest()
-    with ServerThread(workers=4, queue_cap=256, policy="block") as st:
+    with ServerThread(workers=4, queue_cap=256) as st:
         with ProxyThread(
             st.host, st.port, toxics=["latency:1", "disconnect:65536"]
         ) as proxy:
@@ -617,6 +644,29 @@ def test_resubmitting_a_key_is_answered_from_the_cache():
             assert "k1" in other.resume("lin-dedup")
 
 
+def test_rebound_lineage_survives_a_redial():
+    """A redial RESUMEs the lineage ``resume()`` bound, not the one the
+    client was built with: the resubmitted key is a cache hit."""
+    requests = _requests(3, seed0=1475)
+    with ServerThread(workers=2) as st:
+        with ProxyThread(st.host, st.port) as proxy:
+            with Client(
+                proxy.host,
+                proxy.port,
+                timeout=10,
+                backoff=BackoffPolicy(base_s=0.01, max_s=0.1, deadline_s=20),
+            ) as client:
+                client.resume("lin-x")
+                first = client.collect(client.submit(requests, key="kx"))
+                proxy.drop_connections()
+                again = client.collect(client.submit(requests, key="kx"))
+                offered = client.metrics()["gateway"]["offered"]
+                assert client.cache_hits == 1
+                assert client.reconnects == 1
+    assert offered == len(requests)
+    assert summaries_digest(first) == summaries_digest(again)
+
+
 def test_racing_resubmit_coalesces_onto_the_first_execution(
     sleepy_algorithm,
 ):
@@ -653,9 +703,7 @@ def test_lineage_cache_evicts_lru_past_its_bound():
 def test_saturated_gateway_refuses_with_retry_after(sleepy_algorithm):
     big = _sleepy_requests(3, sleepy_algorithm, seed0=1500)
     small = _sleepy_requests(2, sleepy_algorithm, seed0=1510)
-    with ServerThread(
-        workers=1, queue_cap=2, policy="block", session_quota=64
-    ) as st:
+    with ServerThread(workers=1, queue_cap=3, session_quota=64) as st:
         with _Connection(st.host, st.port, timeout=10) as client:
             ch_big = client.submit(big)
             ch_small = client.submit(small)
@@ -677,9 +725,7 @@ def test_saturated_gateway_refuses_with_retry_after(sleepy_algorithm):
 def test_resilient_client_honours_retry_after(sleepy_algorithm):
     big = _sleepy_requests(3, sleepy_algorithm, seed0=1520)
     small = _sleepy_requests(2, sleepy_algorithm, seed0=1530)
-    with ServerThread(
-        workers=1, queue_cap=2, policy="block", session_quota=64
-    ) as st:
+    with ServerThread(workers=1, queue_cap=3, session_quota=64) as st:
         with Client(
             st.host,
             st.port,
@@ -692,6 +738,21 @@ def test_resilient_client_honours_retry_after(sleepy_algorithm):
             assert all(s.status == STATUS_COMPLETED for s in summaries)
             assert client.retry_afters >= 1
             assert len(client.collect(ch_big)) == len(big)
+
+
+def test_envelope_larger_than_the_quota_fails_at_submit():
+    """The server refuses such an envelope on every attempt, so the
+    client raises before sending it instead of retrying to its
+    deadline."""
+    with ServerThread(workers=1, session_quota=4) as st:
+        with Client(st.host, st.port, timeout=10) as client:
+            sent = client.bytes_sent
+            with pytest.raises(QuotaExceeded, match="quota of 4"):
+                client.submit(_requests(6, seed0=1535))
+            assert client.bytes_sent == sent
+            assert client.pending == 0
+            assert client.metrics()["gateway"]["offered"] == 0
+            assert client.resubmits == client.retry_afters == 0
 
 
 # -- dial failures: retries exhausted, circuit breaking, recovery ------------
@@ -814,6 +875,53 @@ def test_resilient_client_rejects_pre_v2_servers_without_retrying():
     finally:
         thread.join(timeout=5)
         listener.close()
+
+
+def test_dial_that_opens_the_breaker_raises_without_sleeping(retry_log):
+    """``threshold`` failed dials open the breaker; the last one raises
+    CircuitOpen at once, so only the ones before it sleep."""
+    client = Client("127.0.0.1", _free_port(), timeout=2)
+    with pytest.raises(CircuitOpen):
+        client.connect()
+    threshold = client.breaker.threshold
+    assert retry_log == ["dial", "sleep"] * (threshold - 1) + ["dial"]
+    client.close()
+
+
+def test_dead_server_under_a_connected_client_opens_the_circuit(retry_log):
+    """One retry loop bounds the call: the lost session and the redials
+    share it, and the dial that opens the breaker ends it with
+    CircuitOpen."""
+    with ServerThread(workers=1) as st:
+        client = Client(st.host, st.port, timeout=5)
+        client.connect()
+    with pytest.raises(CircuitOpen):
+        client.metrics()
+    threshold = client.breaker.threshold
+    # the initial dial, then the failed call and each failed redial
+    assert retry_log == ["dial"] + ["sleep", "dial"] * threshold
+    client.close()
+
+
+def test_handshake_error_while_redialling_ends_the_call(
+    retry_log, monkeypatch
+):
+    """A handshake failure is configuration, not weather: met on a
+    redial inside a call, it is raised at once."""
+    with ServerThread(workers=1) as st:
+        client = Client(st.host, st.port, timeout=5)
+        client.connect()
+
+        def refuse(self):
+            retry_log.append("dial")
+            raise HandshakeError("no mutual protocol version")
+
+        monkeypatch.setattr(_Connection, "connect", refuse)
+    with pytest.raises(HandshakeError):
+        client.metrics()
+    assert client.breaker.failures == 1
+    assert retry_log == ["dial", "sleep", "dial"]
+    client.close()
 
 
 # -- server thread lifecycle satellites --------------------------------------
