@@ -51,7 +51,7 @@ def _best_sequential(requests):
     return best
 
 
-def _best_stream(requests, arrivals, warmup, micro_batch=1):
+def _best_stream(requests, arrivals, micro_batch=1):
     best = None
     for _ in range(REPEAT):
         report = serve(
@@ -62,7 +62,6 @@ def _best_stream(requests, arrivals, warmup, micro_batch=1):
             backend="process",
             queue_cap=QUEUE_CAP,
             policy="block",
-            warmup=warmup,
             micro_batch=micro_batch,
         )
         if best is None or report.wall_s < best.wall_s:
@@ -85,7 +84,7 @@ def _measure():
     # micro_batch > 1 exercises the adaptive coalescer where it pays:
     # a permanently backlogged queue amortizes per-hop dispatch cost.
     saturated = _best_stream(
-        requests, saturated_arrivals(BATCH), warmup=True, micro_batch=4
+        requests, saturated_arrivals(BATCH), micro_batch=4
     )
     assert saturated.ok, saturated.failures[:3]
     assert len(saturated.completed) == BATCH
@@ -98,9 +97,7 @@ def _measure():
     # of a provisioned (non-overloaded) gateway.  No gate — recorded as
     # context.
     rate = max(1.0, 0.7 * saturated.throughput)
-    open_loop = _best_stream(
-        requests, poisson_arrivals(rate, BATCH, seed=0), warmup=False
-    )
+    open_loop = _best_stream(requests, poisson_arrivals(rate, BATCH, seed=0))
     assert open_loop.ok, open_loop.failures[:3]
 
     speedup = sequential.wall_s / saturated.wall_s

@@ -10,7 +10,6 @@ through messages.
 from __future__ import annotations
 
 import contextvars
-import pickle
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Hashable, Iterator, Optional, Tuple
 
@@ -188,44 +187,6 @@ class PlanCache:
             yield self
         finally:
             _BYPASSED_CACHES.reset(token)
-
-    def snapshot(self) -> Dict[Hashable, Any]:
-        """Picklable copy of the store, for warming another process.
-
-        Entries that do not survive :mod:`pickle` (none of the built-in
-        plans, but custom algorithms may cache anything hashable-keyed) are
-        silently skipped — a warmup must never make shipping the batch
-        fail.
-        """
-        out: Dict[Hashable, Any] = {}
-        for key, value in self._store.items():
-            try:
-                pickle.dumps((key, value), protocol=pickle.HIGHEST_PROTOCOL)
-            # repro: ignore[RPR006] -- deliberately broad: a custom plan's
-            # __reduce__ may raise anything; an unpicklable entry is simply
-            # not shipped, it must never fail the warmup.
-            except Exception:
-                continue
-            out[key] = value
-        return out
-
-    def warm(self, plans: Dict[Hashable, Any]) -> int:
-        """Install prefetched plans; returns how many were adopted.
-
-        Existing entries win (a warm cache is never clobbered) and the
-        ``maxsize`` bound is respected.  Counters are untouched: warming is
-        provisioning, not traffic.
-        """
-        store = self._store
-        adopted = 0
-        for key, value in plans.items():
-            if len(store) >= self.maxsize:
-                break
-            if key in store:
-                continue
-            store[key] = value
-            adopted += 1
-        return adopted
 
     def __len__(self) -> int:
         return len(self._store)

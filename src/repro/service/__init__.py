@@ -6,8 +6,7 @@ Two front ends share the same envelopes, judgement and digests:
   :class:`~repro.core.engine.RunRequest` envelopes (any registered
   routing/sorting/extension algorithm x workload x engine); the
   :class:`BatchService` runs them in-process (the sequential baseline)
-  or, after a structural prefetch pass that warms worker plan caches,
-  on a process-backed stream gateway, and returns judged
+  or all of them on a process-backed stream gateway, and returns judged
   :class:`~repro.core.engine.RunSummary` records in request order with
   batch aggregates.
 * :mod:`repro.service.stream` — *online*: the :class:`StreamGateway`
@@ -15,8 +14,8 @@ Two front ends share the same envelopes, judgement and digests:
   explicit backpressure (reject or block), enforces per-request
   deadlines, and records tail-latency histograms; judged on sustained
   throughput and p50/p95/p99, not batch wall-time.  It is the one
-  owner of a worker pool: its build, warm-up, envelope hop and recovery
-  from pool death serve both front ends.
+  owner of a worker pool: its build, envelope hop and recovery from pool
+  death serve both front ends.  Pool workers warm their own plan caches.
 
 Two operational companions ride on the same envelopes:
 
@@ -55,7 +54,6 @@ from .batch import (
     BatchService,
     execute_request,
     requests_from_scenarios,
-    structural_warmup,
     summaries_digest,
 )
 
@@ -141,7 +139,6 @@ __all__ = [
     "BatchService",
     "execute_request",
     "requests_from_scenarios",
-    "structural_warmup",
     "summaries_digest",
     *_STREAM_EXPORTS,
     *_RECORDING_EXPORTS,

@@ -278,9 +278,7 @@ def _batch(args: argparse.Namespace) -> int:
         f"({report.throughput:.1f} instances/s), digest "
         f"{report.batch_digest()}",
         f"caches: shared hit rate {report.shared_cache_hit_rate:.1%}; "
-        f"parent plans {size} resident ({hits} hits / {misses} misses), "
-        f"{report.warmed_plans} shipped to workers via "
-        f"{report.prefetch_runs} prefetch runs",
+        f"parent plans {size} resident ({hits} hits / {misses} misses)",
     ])
 
 

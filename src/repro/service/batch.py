@@ -18,18 +18,11 @@ users").  This module is that front end:
   verification, round bounds, message budget) and collapsed to a
   :class:`~repro.core.engine.RunSummary`; summaries come back in request
   order.
-* **Worker plan-cache warmup.**  Some structural plans recur across a
-  batch: group partitions and header codecs for every request at the same
-  ``n``, and the colorings of uniform announce demands.  The pooled path
-  runs a *structural prefetch pass* (:func:`structural_warmup`): one
-  representative request per distinct ``(kind, family, n, algorithm,
-  engine)`` group executes in the parent, and the gateway ships the
-  parent's :class:`~repro.core.context.PlanCache` snapshot
-  (pickle-filtered) to every worker's initializer.  The cache stores a
-  plan on its second computation, so the snapshot holds the plans the
-  prefetch pass (or earlier work in the parent) computed twice.  Prefetch
-  runs are real results — their summaries are spliced back into the
-  batch, so the warmup costs no duplicated work.
+* **Workers warm themselves.**  A pooled batch runs every request in a
+  pool worker; nothing runs in the calling process first.  Each worker's
+  plan cache stores the plans it computes twice (group partitions and
+  header codecs at the same ``n``, the colorings of uniform announce
+  demands), exactly as the in-process path does.
 
 The digests let any two paths over the same batch — sequential, pooled, or
 direct ``engine.execute`` calls — be compared byte-for-byte; CI's service
@@ -42,7 +35,7 @@ import asyncio
 import hashlib
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.context import plan_cache
 from ..core.engine import (
@@ -61,8 +54,6 @@ __all__ = [
     "CHAOS_TAG_PREFIX",
     "execute_request",
     "requests_from_scenarios",
-    "structural_key",
-    "structural_warmup",
     "summaries_digest",
 ]
 
@@ -109,19 +100,6 @@ def requests_from_scenarios(
         )
         for sc in scenarios
     ]
-
-
-def structural_key(req: RunRequest) -> Tuple:
-    """The coordinate that decides "same structural plans" for warmup.
-
-    Requests sharing this key share the plans that recur across seeds:
-    group partitions, header codecs and the colorings of uniform announce
-    demands.  Most colorings are of demand matrices built from the
-    instance's own data, so the seed changes them; the plan cache stores
-    those only if they recur.  :func:`structural_warmup` dedupes
-    through here.
-    """
-    return (req.kind, req.family, req.n, req.algorithm, req.engine)
 
 
 #: Shared runner for request execution (stateless between runs: every
@@ -185,39 +163,6 @@ def execute_request(req: RunRequest) -> RunSummary:
     return _summarize(req, outcome)
 
 
-def structural_warmup(
-    requests: Sequence[RunRequest], max_runs: int = 16
-) -> Dict[int, RunSummary]:
-    """Warm this process's plan cache from structural representatives.
-
-    Runs the first request of every distinct :func:`structural_key` group,
-    at most ``max_runs`` of them, in the calling process, so the plans
-    that recur are resident before a worker pool starts (the gateway
-    ships the snapshot to its workers).  The cache stores a plan on its
-    second computation, so what becomes resident is what these runs and
-    earlier work in this process computed twice.  Returns the summaries
-    by request index: the batch service splices them back into its
-    results; a stream has no fixed membership to splice into and drops
-    them.
-
-    A ``chaos:`` request is never picked.  Warmup runs in the calling
-    process, where a fault (worst case ``chaos:kill``) would take down the
-    service instead of a disposable pool worker: faults only ever fire
-    behind the executor boundary.
-    """
-    seen = set()
-    warmed: Dict[int, RunSummary] = {}
-    for i, req in enumerate(requests):
-        if len(warmed) >= max_runs:
-            break
-        key = structural_key(req)
-        if req.tag.startswith(CHAOS_TAG_PREFIX) or key in seen:
-            continue
-        seen.add(key)
-        warmed[i] = execute_request(req)
-    return warmed
-
-
 @dataclass
 class BatchReport:
     """Aggregate view of one executed batch."""
@@ -226,8 +171,6 @@ class BatchReport:
     backend: str
     workers: int
     wall_s: float
-    warmed_plans: int = 0
-    prefetch_runs: int = 0
     plan_cache_stats: Tuple[int, int, int] = (0, 0, 0)
     #: worker pools rebuilt after mid-batch breakage (0 on a healthy run).
     pool_replacements: int = 0
@@ -300,8 +243,6 @@ class BatchReport:
                 "hits": hits,
                 "misses": misses,
                 "size": size,
-                "warmed_to_workers": self.warmed_plans,
-                "prefetch_runs": self.prefetch_runs,
             },
             "batch_digest": self.batch_digest(),
             "failures": [
@@ -321,15 +262,6 @@ class BatchService:
             workers.
         engine: default engine name stamped on requests that carry
             ``engine=None``.
-        warmup: run the structural prefetch pass before the pool starts
-            (pooled path only; the in-process path warms its own cache as
-            a side effect of running).
-        max_prefetch: cap on prefetch runs.  Warmup is best-effort
-            amortization: a batch sweeping many distinct structures (every
-            request its own group) must not degenerate into running the
-            whole batch serially in the parent, so at most this many
-            representatives execute up front and the remaining groups start
-            cold in the workers.
         chunk: requests per executor hop on the pooled path (the
             gateway's ``micro_batch``); ``None`` picks ``ceil(batch / (4 *
             workers))`` capped at 32 — large enough to amortize IPC, small
@@ -340,8 +272,6 @@ class BatchService:
         self,
         workers: int = 0,
         engine: str = "fast",
-        warmup: bool = True,
-        max_prefetch: int = 32,
         chunk: Optional[int] = None,
     ) -> None:
         if engine not in available_engines():
@@ -351,8 +281,6 @@ class BatchService:
             )
         self.workers = max(0, int(workers))
         self.engine = engine
-        self.warmup = warmup
-        self.max_prefetch = max(0, int(max_prefetch))
         self.chunk = chunk
 
     # -- internals ----------------------------------------------------------
@@ -369,11 +297,12 @@ class BatchService:
         return max(1, min(32, -(-batch // (4 * self.workers))))
 
     def _run_pooled(
-        self, requests: List[RunRequest], info: Dict[str, object]
-    ) -> List[RunSummary]:
-        """Run ``requests`` through a process-backed gateway, in order."""
+        self, requests: List[RunRequest]
+    ) -> Tuple[List[RunSummary], int]:
+        """Run ``requests`` through a process-backed gateway, in order;
+        returns the summaries and the gateway's pool replacements."""
         if not requests:
-            return []
+            return [], 0
         # stream.py imports this module, so the gateway is imported late.
         from .stream import StreamGateway
 
@@ -400,67 +329,47 @@ class BatchService:
                 ]
 
         summaries = asyncio.run(run())
-        info["warmed"] = gateway.warmed_plans
-        info["pool_replacements"] = gateway.metrics.pool_replacements
-        return summaries
+        return summaries, gateway.metrics.pool_replacements
 
     # -- execution ----------------------------------------------------------
 
     def execute(
-        self,
-        requests: Iterable[RunRequest],
-        _info: Optional[Dict[str, object]] = None,
+        self, requests: Iterable[RunRequest]
     ) -> Iterator[Tuple[RunRequest, RunSummary]]:
         """Execute a batch, yielding ``(request, summary)`` in request order.
 
         In-process (``workers < 2``) each summary is yielded as its run
-        finishes.  The pooled path runs the prefetch pass, drives the rest
-        of the batch through the gateway under :func:`asyncio.run`, and
-        yields once the gateway has drained — so it cannot be called from
-        a running event loop.
-
-        ``_info``, when given, receives the pool accounting (``warmed``,
-        ``prefetch_runs``, ``pool_replacements``) — internal plumbing for
-        :meth:`run_batch`.
+        finishes.  The pooled path drives the whole batch through the
+        gateway under :func:`asyncio.run` and yields once the gateway has
+        drained — so it cannot be called from a running event loop.
         """
         stamped = self._stamp(requests)
         if self.workers < 2:
             for req in stamped:
                 yield req, execute_request(req)
             return
-        info: Dict[str, object] = {} if _info is None else _info
-        prefetched: Dict[int, RunSummary] = {}
-        if self.warmup:
-            # Capped so a structurally diverse batch cannot serialize into
-            # the parent while the pool sits idle.
-            prefetched = structural_warmup(stamped, min(
-                self.max_prefetch, len(stamped) // (2 * self.workers) + 1
-            ))
-        info["prefetch_runs"] = len(prefetched)
-        pooled = iter(self._run_pooled(
-            [req for i, req in enumerate(stamped) if i not in prefetched],
-            info,
-        ))
-        for i, req in enumerate(stamped):
-            yield req, prefetched[i] if i in prefetched else next(pooled)
+        summaries, _ = self._run_pooled(stamped)
+        yield from zip(stamped, summaries)
 
     def run_batch(self, requests: Iterable[RunRequest]) -> BatchReport:
         """Execute a batch to completion and aggregate the summaries."""
+        stamped = self._stamp(requests)
+        pooled = self.workers >= 2
+        replacements = 0
         pc = plan_cache()
         hits0, misses0, _ = pc.stats()
-        info: Dict[str, object] = {}
         t0 = time.perf_counter()
-        summaries = [s for _, s in self.execute(requests, _info=info)]
+        if pooled:
+            summaries, replacements = self._run_pooled(stamped)
+        else:
+            summaries = [execute_request(req) for req in stamped]
         wall = time.perf_counter() - t0
         hits1, misses1, size1 = pc.stats()
-        pooled = self.workers >= 2
         return BatchReport(
             summaries=summaries,
             backend="process-pool" if pooled else "sequential",
             workers=self.workers if pooled else 1,
             wall_s=wall,
-            warmed_plans=int(info.get("warmed", 0)),
-            prefetch_runs=int(info.get("prefetch_runs", 0)),
             plan_cache_stats=(hits1 - hits0, misses1 - misses0, size1),
-            pool_replacements=int(info.get("pool_replacements", 0)),
+            pool_replacements=replacements,
         )

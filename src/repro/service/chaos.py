@@ -20,8 +20,9 @@ Fault transport rides the request envelope itself: a ``chaos:``-prefixed
 ``tag`` travels in the pickled :class:`~repro.core.engine.RunRequest`
 and is interpreted by ``execute_request`` inside whichever process runs
 it — no worker-side setup, no shared state, works across every backend.
-The warmup/prefetch passes skip chaos-tagged requests, so a fault can
-only ever fire behind the executor boundary in a disposable worker.
+On the process backend no request of a pooled batch or stream runs in
+the calling process, so a fault fires behind the executor boundary, in
+a disposable worker.
 
 Gates (all must hold for exit code 0):
 
@@ -141,8 +142,8 @@ def build_chaos_plan(
 ) -> ChaosPlan:
     """Generate a mixed workload and convert some of it into faults.
 
-    The first kill lands at ``count // 3`` so a healthy prefix exercises
-    the warm path and a long suffix proves post-kill recovery; poisons
+    The first kill lands at ``count // 3`` so a healthy prefix runs on
+    the first pool and a long suffix proves post-kill recovery; poisons
     and stragglers are scattered deterministically from ``seed``.
     """
     if not 0.0 <= straggler_frac <= 1.0:

@@ -683,7 +683,8 @@ class Client(_Connection):
 
         Each pass makes at most one dial, then the call; a failed pass
         backs off and passes again.  An open circuit and a handshake
-        failure end the loop at once: no retry can outlast either.
+        failure, local or the server's ERROR of code ``handshake``, end
+        the loop at once: no retry can outlast either.
         """
         deadline = time.monotonic() + self.backoff.deadline_s
         attempt = 0
@@ -692,9 +693,11 @@ class Client(_Connection):
                 if not self.connected:
                     self._dial()
                 return call()
-            except (CircuitOpen, HandshakeError):
+            except CircuitOpen:
                 raise
             except NetError as exc:
+                if exc.code == HandshakeError.code:
+                    raise
                 attempt += 1
                 self._back_off(attempt, deadline, exc)
 

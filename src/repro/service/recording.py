@@ -491,18 +491,14 @@ def replay_capture(
     *,
     workers: int = 2,
     backend: str = "process",
-    engine: Optional[str] = None,
-    queue_cap: Optional[int] = None,
-    policy: Optional[str] = None,
     timescale: float = 1.0,
-    warmup: bool = True,
 ) -> ReplayReport:
     """Re-feed a capture through a live stream gateway deterministically.
 
     The recorded requests are submitted at their recorded arrival offsets
     (scaled by ``timescale``; ``0`` collapses the timeline into a
-    saturated replay) with their recorded engine choices.  Gateway shape
-    defaults to what the capture's header recorded; a header that records
+    saturated replay) with their recorded engine choices.  The gateway
+    takes its shape from the capture's header; a header that records
     none (a batch capture) replays under ``block`` with room for every
     request, so the replay sheds nothing the recording did not.  The
     report compares the digest over the replay's completed runs against
@@ -516,14 +512,11 @@ def replay_capture(
         capture.requests,
         recorded_arrivals(capture.arrivals, timescale),
         workers=workers,
-        engine=engine or str(meta.get("engine", "fast")),
+        engine=str(meta.get("engine", "fast")),
         backend=backend,
-        queue_cap=int(
-            queue_cap or meta.get("queue_cap", max(1, len(capture.requests)))
-        ),
-        policy=str(policy or meta.get("policy", "block")),
+        queue_cap=int(meta.get("queue_cap", max(1, len(capture.requests)))),
+        policy=str(meta.get("policy", "block")),
         deadline_ms=None,  # deadlines depend on wall clock, not the trace
-        warmup=warmup,
     )
     return ReplayReport(
         capture_digest=capture.capture_digest(),

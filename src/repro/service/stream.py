@@ -30,17 +30,14 @@ Architecture::
   result but cannot retract work already submitted to a pool worker — that
   worker finishes the stale run and only then takes new work, exactly the
   slot-occupancy cost a real service pays for late cancellation.
-* **Warm workers.**  The process backend ships the parent's
-  :class:`~repro.core.context.PlanCache` snapshot to every pool worker at
-  start (``snapshot()/warm()``), and
-  :func:`~repro.service.batch.structural_warmup` runs one representative
-  request per distinct structural group in the parent first.  The cache
-  stores a plan on its second computation, so the snapshot carries only
-  plans the parent computed twice: the ones that recur.
-  The thread backend shares the process-wide plan cache outright — it
-  exists for environments where process pools are unavailable
-  (restricted sandboxes, embedded interpreters); the GIL serializes
-  pure-Python execution, so it trades throughput for portability.
+* **Workers warm themselves.**  Every request runs on the pool; nothing
+  runs ahead of it in the calling process.  Each process-backend worker
+  starts with an empty :class:`~repro.core.context.PlanCache` and stores
+  the plans it computes twice: the ones that recur.  The thread backend
+  shares the process-wide plan cache outright — it exists for
+  environments where process pools are unavailable (restricted
+  sandboxes, embedded interpreters); the GIL serializes pure-Python
+  execution, so it trades throughput for portability.
 * **Metrics.**  :class:`StreamMetrics` records latency/queue-wait/service
   histograms (:class:`~repro.core.metrics.LatencyHistogram`), status
   counters and queue-depth extrema; :class:`StreamReport` rolls them up
@@ -75,7 +72,6 @@ See DESIGN.md section 7 for the semantics.
 from __future__ import annotations
 
 import asyncio
-import pickle
 import time
 from concurrent.futures import (
     BrokenExecutor,
@@ -84,9 +80,8 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from dataclasses import dataclass, field, replace
-from typing import Dict, Hashable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from ..core.context import plan_cache
 from ..core.engine import (
     STATUS_CANCELLED,
     STATUS_COMPLETED,
@@ -97,7 +92,7 @@ from ..core.engine import (
     available_engines,
 )
 from ..core.metrics import LatencyHistogram
-from .batch import execute_request, structural_warmup, summaries_digest
+from .batch import execute_request, summaries_digest
 from .transport import decode_summaries, encode_requests, run_envelope
 
 __all__ = [
@@ -137,21 +132,6 @@ def _run_tickets(requests: List[RunRequest]) -> List[RunSummary]:
     (not at dispatch-closure creation), so it tracks monkeypatching.
     """
     return [execute_request(r) for r in requests]
-
-
-def _pickle_plans(plans: Dict[Hashable, object]) -> bytes:
-    """Freeze a plan-cache snapshot into one reusable initializer blob.
-
-    Pickled **once per gateway** and handed to every worker initializer —
-    including the workers of every pool rebuilt after a worker death, so
-    recovery cost does not scale with the warm set.
-    """
-    return pickle.dumps(plans, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def _warm_worker_blob(blob: bytes) -> None:
-    """Pool-worker initializer: adopt a pre-pickled plan snapshot."""
-    plan_cache().warm(pickle.loads(blob))
 
 
 class StreamMetrics:
@@ -239,16 +219,16 @@ class _Ticket:
 
 
 class StreamGateway:
-    """Long-lived asyncio front end over a warm executor pool.
+    """Long-lived asyncio front end over an executor pool.
 
     Args:
         workers: concurrent in-flight executions (async dispatcher tasks,
             and the executor pool size).
         engine: default engine name stamped on requests with
             ``engine=None``.
-        backend: ``"process"`` (a ``ProcessPoolExecutor`` with plan-cache
-            warm workers — the throughput configuration) or ``"thread"``
-            (portable, GIL-serialized).
+        backend: ``"process"`` (a ``ProcessPoolExecutor`` — the
+            throughput configuration) or ``"thread"`` (portable,
+            GIL-serialized).
         queue_cap: bound on the request queue — the backpressure knob.
         policy: ``"reject"`` (shed load when the queue is full) or
             ``"block"`` (make ``submit`` await space).
@@ -303,9 +283,6 @@ class StreamGateway:
         self.metrics = StreamMetrics()
         self._queue: Optional["asyncio.Queue[_Ticket]"] = None
         self._pool: Optional[Executor] = None
-        self._warm_blob = b""
-        #: plan-cache entries shipped to every process-backend worker.
-        self.warmed_plans = 0
         self._tasks: List["asyncio.Task[None]"] = []
         self._closed = False
 
@@ -331,13 +308,6 @@ class StreamGateway:
             # pool for it would leak processes and tasks.  One gateway, one
             # lifecycle.
             raise RuntimeError("gateway already closed; build a new one")
-        if self.backend == "process":
-            # Snapshot + pickle the warm plans ONCE; every pool this
-            # gateway ever builds — including rebuilds after breakage —
-            # reuses the same initializer blob.
-            plans = plan_cache().snapshot()
-            self.warmed_plans = len(plans)
-            self._warm_blob = _pickle_plans(plans)
         self._pool = self._build_pool()
         self._queue = asyncio.Queue(maxsize=self.queue_cap)
         self._tasks = [
@@ -348,18 +318,11 @@ class StreamGateway:
 
     def _build_pool(self) -> Executor:
         if self.backend == "process":
-            # Warm every pool worker from the parent's plan-cache snapshot
-            # (whatever structural_warmup / earlier runs left resident).
-            return ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_warm_worker_blob,
-                initargs=(self._warm_blob,),
-            )
-        # Threads share the process-wide plan cache; no shipping needed.
+            return ProcessPoolExecutor(max_workers=self.workers)
         return ThreadPoolExecutor(max_workers=self.workers)
 
     def _replace_pool(self, broken: Executor) -> None:
-        """Swap a broken executor pool for a fresh warm one.
+        """Swap a broken executor pool for a fresh one.
 
         A dead pool child breaks the whole ``ProcessPoolExecutor``: every
         in-flight and future submission raises ``BrokenExecutor``.  The
@@ -839,15 +802,12 @@ def serve(
     policy: str = "reject",
     deadline_ms: Optional[float] = None,
     micro_batch: int = 1,
-    warmup: bool = True,
     record: Optional[str] = None,
 ) -> StreamReport:
     """Run one full open-loop stream to completion (sync entry point).
 
-    Runs structural representatives in the parent first (the plans they
-    computed twice are shipped to process-backend workers), replays the
-    arrival timeline through a fresh :class:`StreamGateway`, drains it,
-    and rolls up the report.
+    Replays the arrival timeline through a fresh :class:`StreamGateway`,
+    drains it, and rolls up the report.
 
     ``record`` names a capture file: every submitted request (with its
     observed arrival offset) and every resolved summary is appended to it
@@ -855,14 +815,6 @@ def serve(
     be re-fed deterministically later (trace-driven load tests, chaos
     forensics).
     """
-    if warmup:
-        structural_warmup(
-            [
-                req if req.engine is not None else replace(req, engine=engine)
-                for req in requests
-            ]
-        )
-
     async def _main() -> StreamReport:
         recorder = None
         if record is not None:

@@ -32,7 +32,6 @@ from repro.service import (
     requests_from_scenarios,
     run_chaos,
     serve,
-    structural_warmup,
 )
 from repro.service.__main__ import main
 
@@ -76,7 +75,6 @@ def test_slow_fault_completes_with_correct_digest():
     req = _requests(1)[0]
     report = serve(
         [inject(req, "slow:40")], [0.0], workers=1, backend="thread",
-        warmup=False,
     )
     (slowed,) = report.summaries
     assert slowed.status == STATUS_COMPLETED and slowed.ok
@@ -85,13 +83,11 @@ def test_slow_fault_completes_with_correct_digest():
     assert slowed.digest == baseline.summaries[0].digest
 
 
-def test_warmup_passes_skip_chaos_requests():
-    """Warmup/prefetch execute in the parent process — a chaos:kill there
-    would take down the gateway itself, so armed requests never warm."""
+def test_pooled_batch_of_poisoned_requests_all_fail():
+    """Every request of a pooled batch runs in a pool worker, so a batch
+    of nothing but poisoned requests fails each one there."""
     requests = [inject(r, "poison") for r in _requests(4)]
-    assert structural_warmup(requests) == {}
     report = BatchService(workers=2).run_batch(requests)
-    assert report.prefetch_runs == 0
     assert all(s.status == STATUS_FAILED for s in report.summaries)
 
 
@@ -103,7 +99,6 @@ def test_poison_request_fails_cleanly_in_gateway():
     requests[1] = inject(requests[1], "poison")
     report = serve(
         requests, [0.0] * 4, workers=2, backend="thread", policy="block",
-        warmup=False,
     )
     poisoned = report.summaries[1]
     assert poisoned.status == STATUS_FAILED
@@ -129,7 +124,7 @@ def test_pool_death_mid_batch_reports_judged_summaries():
     runs match a sequential re-execution byte for byte."""
     requests = _requests(8)
     requests[4] = inject(requests[4], "kill")
-    service = BatchService(workers=2, warmup=False, chunk=2)
+    service = BatchService(workers=2, chunk=2)
     report = service.run_batch(requests)
 
     assert len(report.summaries) == len(requests)  # nothing lost
@@ -226,9 +221,7 @@ def test_mid_batch_kill_replaces_pool_exactly_once():
     workers = 2
     requests = _requests(40, seed0=61)
     requests[17] = inject(requests[17], "kill")
-    report = BatchService(workers=workers, warmup=False, chunk=1).run_batch(
-        requests
-    )
+    report = BatchService(workers=workers, chunk=1).run_batch(requests)
     assert len(report.summaries) == len(requests)
     assert report.summaries[17].status == STATUS_FAILED
     assert report.pool_replacements == 1

@@ -59,6 +59,7 @@ from repro.service.net.framing import (
     Frame,
     FrameDecoder,
     HandshakeError,
+    ServerError,
     control_payload,
     encode_frame,
 )
@@ -922,6 +923,24 @@ def test_handshake_error_while_redialling_ends_the_call(
     assert client.breaker.failures == 1
     assert retry_log == ["dial", "sleep", "dial"]
     client.close()
+
+
+def test_server_handshake_refusal_ends_the_call(retry_log):
+    """The server's ERROR of code ``handshake`` cannot change on a retry
+    either: ``resume("")`` raises it at once, with no backoff sleep and
+    no redial, and the client keeps its own lineage."""
+    with ServerThread(workers=1) as st:
+        client = Client(st.host, st.port, timeout=5)
+        client.connect()
+        lineage = client.lineage
+        with pytest.raises(ServerError, match="no lineage") as info:
+            client.resume("")
+        assert info.value.code == "handshake"
+        assert retry_log == ["dial"]
+        assert client.reconnects == 0
+        assert "gateway" in client.metrics()
+        assert client.lineage == lineage
+        client.close()
 
 
 # -- server thread lifecycle satellites --------------------------------------

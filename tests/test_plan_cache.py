@@ -1,4 +1,4 @@
-"""PlanCache semantics: scoped verify bypass, FIFO eviction, snapshots.
+"""PlanCache semantics: scoped verify bypass, FIFO eviction, admission.
 
 The regression tests here pin the two properties ISSUE 3 fixed:
 
@@ -290,30 +290,6 @@ def test_concurrent_admission_never_raises():
     assert len(cache) <= 8 + 4
     assert len(cache._history) <= 8 + 4
     assert cache.evictions > 0
-
-
-# -- snapshots / warmup ------------------------------------------------------
-
-
-def test_snapshot_filters_unpicklable_plans():
-    cache = PlanCache()
-    _store_plan(cache, "good", (1, 2))
-    _store_plan(cache, "bad", lambda: None)  # lambdas do not pickle
-    snap = cache.snapshot()
-    assert snap == {"good": (1, 2)}
-
-
-def test_warm_respects_existing_entries_maxsize_and_counters():
-    cache = PlanCache(maxsize=3)
-    _store_plan(cache, "a", "mine")
-    counters_before = (cache.hits, cache.misses, cache.evictions)
-    adopted = cache.warm({"a": "theirs", "b": 2, "c": 3, "d": 4})
-    assert adopted == 2  # b and c; a exists, d over maxsize
-    assert cache._store["a"] == "mine"
-    assert len(cache) == 3
-    assert (cache.hits, cache.misses, cache.evictions) == counters_before
-    # Warmed entries are served as hits afterwards.
-    assert cache.compute("b", lambda: "recomputed") == 2
 
 
 def test_disable_enable_roundtrip():

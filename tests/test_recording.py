@@ -55,7 +55,6 @@ def _capture_stream(path, batch=4, seed0=700, arrivals=None):
         workers=2,
         backend="thread",
         policy="block",
-        warmup=False,
         record=str(path),
     )
     return requests, report
@@ -82,7 +81,7 @@ def test_capture_replay_roundtrip_property(tmp_path_factory, batch, seed0):
     assert capture.capture_digest() == live.stream_digest()
 
     result = replay_capture(
-        capture, workers=2, backend="thread", timescale=0.0, warmup=False
+        capture, workers=2, backend="thread", timescale=0.0
     )
     assert result.digests_match, (
         f"capture {result.capture_digest} != replay {result.replay_digest}"
@@ -135,7 +134,7 @@ def test_batch_capture_replays_without_shedding(tmp_path):
     with Recorder(str(path), meta={"source": "batch"}) as recorder:
         recorder.record_batch(BatchService(workers=0), requests)
     result = replay_capture(
-        load_capture(str(path)), workers=2, backend="thread", warmup=False
+        load_capture(str(path)), workers=2, backend="thread"
     )
     assert result.stream_report.rejected == []
     assert result.digests_match

@@ -97,10 +97,6 @@ def test_service_vs_direct_differential_256():
     ]
     assert service_rows == direct
 
-    # The pool really warmed its workers from a structural prefetch pass.
-    assert pooled.prefetch_runs > 0
-    assert pooled.warmed_plans > 0
-
 
 def test_streaming_order_matches_request_order():
     requests = _requests(24)
@@ -115,7 +111,7 @@ def test_pooled_batch_ignores_request_deadlines():
     ignored on the pooled path as it is in-process, and every summary
     carries the request as submitted."""
     requests = [replace(r, deadline_ms=0.001) for r in _requests(6)]
-    report = BatchService(workers=2, warmup=False).run_batch(requests)
+    report = BatchService(workers=2).run_batch(requests)
     assert report.ok, report.failures
     assert [s.request for s in report.summaries] == requests
     baseline = BatchService(workers=0).run_batch(requests)
@@ -170,16 +166,15 @@ def test_service_engine_stamping():
         BatchService(engine="warp")
 
 
-def test_prefetch_pass_is_capped():
-    """A structurally diverse batch must not serialize into the parent:
-    at most ``max_prefetch`` representatives run up front.
-    """
+def test_pooled_batch_runs_nothing_in_the_calling_process():
+    """Every request of a pooled batch runs in a pool worker: the
+    parent's plan cache sees no lookup, so a ``chaos:`` fault can never
+    fire in the parent."""
     requests = _requests(12)
-    report = BatchService(workers=2, max_prefetch=2).run_batch(requests)
-    assert report.ok
-    assert report.prefetch_runs == 2
-    baseline = BatchService(workers=0).run_batch(requests)
-    assert report.batch_digest() == baseline.batch_digest()
+    report = BatchService(workers=2).run_batch(requests)
+    assert report.ok, report.failures
+    assert report.plan_cache_stats[:2] == (0, 0)
+    assert report.to_dict()["plan_cache"].keys() == {"hits", "misses", "size"}
 
 
 # -- workload mix feed -------------------------------------------------------

@@ -26,7 +26,6 @@ from repro.service import (
     inject,
     requests_from_scenarios,
     serve,
-    structural_warmup,
     summaries_digest,
 )
 from repro.service import stream as stream_mod
@@ -189,7 +188,6 @@ def test_deadline_expires_in_queue(sleepy_algorithm):
         workers=1,
         backend="thread",
         policy="block",
-        warmup=False,
     )
     first, rest = report.summaries[0], report.summaries[1:]
     assert first.status == STATUS_COMPLETED and first.ok
@@ -209,7 +207,7 @@ def test_deadline_exceeded_mid_run(sleepy_algorithm):
         algorithm=sleepy_algorithm, engine="fast", deadline_ms=40.0,
     )
     report = serve(
-        [req], [0.0], workers=1, backend="thread", warmup=False
+        [req], [0.0], workers=1, backend="thread"
     )
     (summary,) = report.summaries
     assert summary.status == STATUS_CANCELLED
@@ -234,7 +232,6 @@ def test_gateway_default_deadline_applies_to_unset_requests(sleepy_algorithm):
         backend="thread",
         policy="block",
         deadline_ms=25.0,
-        warmup=False,
     )
     first, second = report.summaries
     # The slow request itself overran the default budget mid-run...
@@ -313,7 +310,7 @@ def test_engine_stamping_and_validation():
     )
     report = serve(
         [unset, pinned], [0.0, 0.0], workers=1, engine="fast",
-        backend="thread", warmup=False,
+        backend="thread",
     )
     assert [s.engine for s in report.summaries] == ["fast", "reference"]
 
@@ -416,7 +413,7 @@ def test_executor_failure_resolves_ticket_instead_of_deadlocking(monkeypatch):
     monkeypatch.setattr(stream_mod, "execute_request", flaky)
     requests = _requests(2)
     report = serve(
-        requests, [0.0, 0.0], workers=1, backend="thread", warmup=False
+        requests, [0.0, 0.0], workers=1, backend="thread"
     )
     first, second = report.summaries
     assert not first.ok
@@ -450,7 +447,7 @@ def test_failed_runs_excluded_from_success_latency(monkeypatch):
     monkeypatch.setattr(stream_mod, "execute_request", crash_odd)
     requests = _requests(6)  # seeds 500..505 -> 3 crashes
     report = serve(
-        requests, [0.0] * 6, workers=1, backend="thread", warmup=False
+        requests, [0.0] * 6, workers=1, backend="thread"
     )
     assert len(report.failed) == 3
     assert len(report.completed) == 3
@@ -479,29 +476,15 @@ def test_replay_paces_arrivals():
         [0.0, 0.05, 0.10],
         workers=2,
         backend="thread",
-        warmup=False,
     )
     assert time.perf_counter() - t0 >= 0.10
     assert len(report.completed) == 3
 
 
-def test_structural_warmup_dedupes_and_caps():
-    requests = _requests(12)
-    picks = structural_warmup(requests, max_runs=3)
-    assert all(requests[i] == s.request for i, s in picks.items())
-    warmed = list(picks.values())
-    assert len(warmed) == 3
-    assert all(s.ok for s in warmed)
-    groups = {
-        (s.request.kind, s.request.family, s.request.n) for s in warmed
-    }
-    assert len(groups) == 3  # distinct structural groups, not repeats
-
-
 def test_report_roundtrips_to_json():
     requests = _requests(4)
     report = serve(
-        requests, [0.0] * 4, workers=1, backend="thread", warmup=False
+        requests, [0.0] * 4, workers=1, backend="thread"
     )
     doc = json.loads(json.dumps(report.to_dict()))
     assert doc["offered"] == 4

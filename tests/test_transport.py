@@ -1,9 +1,9 @@
-"""Envelope transport: codec properties, warm plans, capture parity.
+"""Envelope transport: codec properties, pool respawns, capture parity.
 
 A hypothesis property suite over the columnar envelope round trip (chaos
-tags, unset deadlines, failed and digestless summaries included), the
-PlanCache snapshot pickled-once regression, and capture parity between
-the in-process path and the pooled envelope hop.  Pooled == sequential
+tags, unset deadlines, failed and digestless summaries included), a
+batch that outlives two pool deaths, and capture parity between the
+in-process path and the pooled envelope hop.  Pooled == sequential
 digests on a 256-instance mixed batch are checked by
 ``tests/test_service.py::test_service_vs_direct_differential_256``.
 """
@@ -26,7 +26,6 @@ from repro.service import (
     inject,
     requests_from_scenarios,
 )
-from repro.service import stream as stream_mod
 from repro.service.recording import Recorder, load_capture
 from repro.service.transport import (
     decode_requests,
@@ -151,31 +150,17 @@ def test_failed_digestless_summaries_round_trip():
     assert all(not s.resolved for s in decoded)
 
 
-# -- PlanCache snapshot pickled once (satellite regression) -------------------
+# -- pool respawns ------------------------------------------------------------
 
 
-def test_plan_snapshot_pickled_once_across_pool_respawns(monkeypatch):
-    """Regression: the warm-plan snapshot used to be re-pickled for every
-    pool (re)build; two mid-batch worker kills now reuse the one blob."""
-    calls = []
-    real = stream_mod._pickle_plans
-
-    def counting(plans):
-        calls.append(len(plans))
-        return real(plans)
-
-    monkeypatch.setattr(stream_mod, "_pickle_plans", counting)
+def test_batch_outlives_two_pool_respawns():
+    """Two mid-batch worker kills: the batch returns, and each dead pool
+    is replaced."""
     requests = _requests(10, seed0=70)
     requests[1] = inject(requests[1], "kill")
     requests[9] = inject(requests[9], "kill")
-    report = BatchService(workers=2, warmup=False, chunk=2).run_batch(
-        requests
-    )
+    report = BatchService(workers=2, chunk=2).run_batch(requests)
     assert report.pool_replacements >= 2
-    assert len(calls) == 1, (
-        f"plan snapshot pickled {len(calls)} times for "
-        f"{report.pool_replacements} pool replacements"
-    )
 
 
 # -- capture parity: in-process vs pooled ------------------------------------
@@ -188,7 +173,7 @@ def test_captures_identical_across_transports(tmp_path):
     captures = {}
     for workers in (0, 2):
         path = str(tmp_path / f"capture-{workers}.jsonl")
-        service = BatchService(workers=workers, warmup=False)
+        service = BatchService(workers=workers)
         with Recorder(path, meta={"workers": workers}) as recorder:
             report = recorder.record_batch(service, requests)
         assert report.ok
