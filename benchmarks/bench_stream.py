@@ -51,7 +51,7 @@ def _best_sequential(requests):
     return best
 
 
-def _best_stream(requests, arrivals, micro_batch=1):
+def _best_stream(requests, arrivals):
     best = None
     for _ in range(REPEAT):
         report = serve(
@@ -62,7 +62,6 @@ def _best_stream(requests, arrivals, micro_batch=1):
             backend="process",
             queue_cap=QUEUE_CAP,
             policy="block",
-            micro_batch=micro_batch,
         )
         if best is None or report.wall_s < best.wall_s:
             best = report
@@ -80,12 +79,10 @@ def _measure():
     assert sequential.ok, sequential.failures[:3]
 
     # Saturated stream: arrival clock at t=0 for every request, blocking
-    # policy — sustained throughput is bounded by the worker pool alone.
-    # micro_batch > 1 exercises the adaptive coalescer where it pays:
-    # a permanently backlogged queue amortizes per-hop dispatch cost.
-    saturated = _best_stream(
-        requests, saturated_arrivals(BATCH), micro_batch=4
-    )
+    # policy — sustained throughput is bounded by the worker pool alone,
+    # and the permanently backlogged queue is where the gateway's
+    # coalescer amortizes per-hop dispatch cost.
+    saturated = _best_stream(requests, saturated_arrivals(BATCH))
     assert saturated.ok, saturated.failures[:3]
     assert len(saturated.completed) == BATCH
     assert not saturated.rejected and not saturated.cancelled
@@ -105,7 +102,6 @@ def _measure():
         {
             "config": "sequential-batch",
             "workers": 1,
-            "micro_batch": None,
             "offered": BATCH,
             "completed": BATCH,
             "wall_s": round(sequential.wall_s, 3),
@@ -120,7 +116,6 @@ def _measure():
         {
             "config": "stream-saturated",
             "workers": WORKERS,
-            "micro_batch": 4,
             "offered": BATCH,
             "completed": len(saturated.completed),
             "wall_s": round(saturated.wall_s, 3),
@@ -135,7 +130,6 @@ def _measure():
         {
             "config": f"stream-poisson@{rate:.0f}/s",
             "workers": WORKERS,
-            "micro_batch": 1,
             "offered": BATCH,
             "completed": len(open_loop.completed),
             "wall_s": round(open_loop.wall_s, 3),

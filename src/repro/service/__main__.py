@@ -138,10 +138,6 @@ _FLAGS: Dict[str, Dict[str, Any]] = {
         choices=("poisson", "uniform", "saturated", "bursty"),
         help="arrival process (--rate 0 forces saturated)",
     ),
-    "micro_batch": dict(
-        type=int, default=1, metavar="K",
-        help="coalesce up to K queued requests into one executor hop",
-    ),
     # faults
     "kills": dict(type=int, default=1, help="worker-kill faults"),
     "poisons": dict(type=int, default=2, help="engine-crash requests"),
@@ -305,7 +301,6 @@ def _stream(args: argparse.Namespace) -> int:
         queue_cap=args.queue_cap,
         policy=args.policy,
         deadline_ms=args.deadline_ms,
-        micro_batch=args.micro_batch,
         record=args.record,
     )
     doc = report.to_dict()
@@ -645,7 +640,7 @@ def _parser() -> argparse.ArgumentParser:
          f"workers engine {_WORKLOAD} json selfcheck record",
          "run a mixed batch; per-family rollups", workers=0)
     verb(verbs, "stream", _stream,
-         f"rate duration arrivals micro_batch {_GATEWAY} policy {_WORKLOAD} "
+         f"rate duration arrivals {_GATEWAY} policy {_WORKLOAD} "
          "json selfcheck record",
          "open-loop stream through the gateway; tail latency",
          requests=None)

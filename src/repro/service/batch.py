@@ -262,18 +262,13 @@ class BatchService:
             workers.
         engine: default engine name stamped on requests that carry
             ``engine=None``.
-        chunk: requests per executor hop on the pooled path (the
-            gateway's ``micro_batch``); ``None`` picks ``ceil(batch / (4 *
-            workers))`` capped at 32 — large enough to amortize IPC, small
-            enough to keep the pool balanced.
+
+    On the pooled path the gateway sizes the hops: each dispatcher
+    coalesces its share of the queued batch, at most eight requests,
+    into one executor hop.
     """
 
-    def __init__(
-        self,
-        workers: int = 0,
-        engine: str = "fast",
-        chunk: Optional[int] = None,
-    ) -> None:
+    def __init__(self, workers: int = 0, engine: str = "fast") -> None:
         if engine not in available_engines():
             raise ValueError(
                 f"unknown engine {engine!r}; available: "
@@ -281,7 +276,6 @@ class BatchService:
             )
         self.workers = max(0, int(workers))
         self.engine = engine
-        self.chunk = chunk
 
     # -- internals ----------------------------------------------------------
 
@@ -290,11 +284,6 @@ class BatchService:
             req if req.engine is not None else replace(req, engine=self.engine)
             for req in requests
         ]
-
-    def _chunk_size(self, batch: int) -> int:
-        if self.chunk is not None:
-            return max(1, self.chunk)
-        return max(1, min(32, -(-batch // (4 * self.workers))))
 
     def _run_pooled(
         self, requests: List[RunRequest]
@@ -312,7 +301,6 @@ class BatchService:
             backend="process",
             queue_cap=len(requests),
             policy="block",
-            micro_batch=self._chunk_size(len(requests)),
         )
 
         async def run() -> List[RunSummary]:

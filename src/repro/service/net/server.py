@@ -167,11 +167,12 @@ class NetServer:
 
     Gateway-shaping keyword arguments (``workers``, ``engine``,
     ``backend``, ``queue_cap``, ``deadline_ms``) are passed through to
-    the owned gateway verbatim; the gateway dispatches one request per
-    executor hop.  ``session_quota``, ``max_frame`` and
-    ``idempotency_keys`` are the network layer's own knobs; the
-    advertised quota is ``min(session_quota, queue_cap)``, so every
-    envelope the server admits fits the gateway queue (:meth:`_saturated`).
+    the owned gateway verbatim; the gateway coalesces queued rows, from
+    one envelope or several, into executor hops of up to eight.
+    ``session_quota``, ``max_frame`` and ``idempotency_keys`` are the
+    network layer's own knobs; the advertised quota is
+    ``min(session_quota, queue_cap)``, so every envelope the server
+    admits fits the gateway queue (:meth:`_saturated`).
 
     Lifecycle mirrors the gateway: ``await start()``, serve, ``await
     close()``.  ``port=0`` binds an ephemeral port; read ``.port`` after

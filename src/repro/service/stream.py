@@ -47,16 +47,19 @@ Architecture::
   request envelope (:mod:`repro.service.transport`) through the pool's
   own call queue and gets one summary envelope back: plain bytes both
   ways.
-* **Pool death.**  A dead pool child breaks the whole pool: the hops in
-  flight on it fail, and the pool is replaced once and counted once.  A
-  pool that broke while idle refuses the next submit; nothing ran, so the
-  gateway replaces the pool and submits that hop once more.
-* **Micro-batching.**  Dispatchers can coalesce up to K queued requests
-  (or wait a fixed 2 ms for batch-mates, whichever first; K adapts to
-  observed queue depth) into one executor hop.  Off by default (K=1):
-  coalescing trades per-request deadline granularity for IPC
-  amortization, so it is an explicit opt-in for throughput-oriented
-  streams.
+* **Pool death.**  A dead pool child breaks the whole pool, which is
+  replaced once and counted once.  A one-request hop in flight on it
+  fails; a coalesced hop re-runs each request it still owes as a
+  one-request hop of its own, so a death fails at most ``workers``
+  requests.  A pool that broke while idle refuses the next submit;
+  nothing ran, so the gateway replaces the pool and submits that hop
+  once more.
+* **Coalescing.**  A dispatcher takes its share of the backlog,
+  ``ceil(queue depth / workers)`` queued requests beyond the one it
+  waited for, into one executor hop of at most ``_HOP_CAP`` requests
+  (guided self-scheduling).  An idle queue dispatches at once; a
+  backlog pays one encode, IPC round trip and decode per hop instead
+  of per request.  Deadlines stay per request.
 * **One dispatcher per worker.**  The gateway runs exactly ``workers``
   dispatcher tasks over a pool of ``workers`` processes (or threads).
 
@@ -110,8 +113,10 @@ __all__ = [
 BACKENDS = ("process", "thread")
 POLICIES = ("reject", "block")
 
-#: How long a dispatcher holding a short micro-batch waits for batch-mates.
-_LINGER_S = 2e-3
+#: Most requests one executor hop carries: a 16-row envelope splits into
+#: one hop per worker of a 2-worker pool, and a pool death re-runs at most
+#: this many requests per dispatcher.
+_HOP_CAP = 8
 
 
 def _swallow_task_result(task: "asyncio.Future[object]") -> None:
@@ -126,7 +131,7 @@ def _swallow_task_result(task: "asyncio.Future[object]") -> None:
 
 
 def _run_tickets(requests: List[RunRequest]) -> List[RunSummary]:
-    """Thread-backend batch entry: one executor hop for a micro-batch.
+    """Thread-backend batch entry: one executor hop for a coalesced batch.
 
     Resolves ``execute_request`` through the module global at call time
     (not at dispatch-closure creation), so it tracks monkeypatching.
@@ -154,6 +159,8 @@ class StreamMetrics:
         self.failed = 0
         #: executor pools rebuilt after breakage (chaos recovery gate).
         self.pool_replacements = 0
+        #: executor hops put on a pool, re-runs included.
+        self.hops = 0
         self.queue_depth_max = 0
         self._depth_sum = 0
         self._depth_samples = 0
@@ -200,6 +207,7 @@ class StreamMetrics:
             "cancelled": self.cancelled,
             "failed": self.failed,
             "pool_replacements": self.pool_replacements,
+            "hops": self.hops,
             "queue_depth_max": self.queue_depth_max,
             "queue_depth_mean": round(self.queue_depth_mean, 2),
             "latency": self.latency.summary(),
@@ -211,11 +219,14 @@ class StreamMetrics:
 
 @dataclass
 class _Ticket:
-    """One enqueued request: envelope, enqueue timestamp, result future."""
+    """One enqueued request: envelope, enqueue timestamp, result future,
+    and the queue wait and latency budget stamped when it is dispatched."""
 
     request: RunRequest
     enqueued_at: float
     future: "asyncio.Future[RunSummary]"
+    queue_s: float = 0.0
+    deadline_s: Optional[float] = None
 
 
 class StreamGateway:
@@ -234,12 +245,9 @@ class StreamGateway:
             ``"block"`` (make ``submit`` await space).
         deadline_ms: default per-request latency budget; a request's own
             ``deadline_ms`` wins.  ``None`` means no deadline.
-        micro_batch: max requests a dispatcher coalesces into one executor
-            hop.  ``1`` (default) dispatches per request — micro-batching
-            widens the window between a request starting and its deadline
-            being enforceable, so it is opt-in.  When ``> 1`` the actual
-            batch adapts to queue depth (never waiting for load that is
-            not there).
+
+    Each dispatcher coalesces its share of the queued requests into one
+    executor hop of at most ``_HOP_CAP`` (see :meth:`_coalesce`).
 
     Use as an async context manager, or call :meth:`start` / :meth:`close`.
     """
@@ -252,7 +260,6 @@ class StreamGateway:
         queue_cap: int = 64,
         policy: str = "reject",
         deadline_ms: Optional[float] = None,
-        micro_batch: int = 1,
     ) -> None:
         if engine not in available_engines():
             raise ValueError(
@@ -271,15 +278,12 @@ class StreamGateway:
             raise ValueError("stream gateway needs workers >= 1")
         if queue_cap < 1:
             raise ValueError("queue_cap must be >= 1")
-        if micro_batch < 1:
-            raise ValueError("micro_batch must be >= 1")
         self.workers = int(workers)
         self.engine = engine
         self.backend = backend
         self.queue_cap = int(queue_cap)
         self.policy = policy
         self.deadline_ms = deadline_ms
-        self.micro_batch = int(micro_batch)
         self.metrics = StreamMetrics()
         self._queue: Optional["asyncio.Queue[_Ticket]"] = None
         self._pool: Optional[Executor] = None
@@ -465,8 +469,7 @@ class StreamGateway:
         queue = self._queue
         while True:
             batch = [await queue.get()]
-            if self.micro_batch > 1:
-                await self._coalesce(batch)
+            self._coalesce(batch)
             try:
                 await self._dispatch_batch(batch)
             except Exception as exc:
@@ -489,35 +492,19 @@ class StreamGateway:
                 for _ in batch:
                     queue.task_done()
 
-    async def _coalesce(self, batch: List[_Ticket]) -> None:
-        """Adaptively drain batch-mates into ``batch``.
+    def _coalesce(self, batch: List[_Ticket]) -> None:
+        """Drain batch-mates into ``batch`` by guided self-scheduling.
 
-        The target size is ``ceil(queue depth / dispatchers)`` clamped to
-        ``micro_batch`` — a dispatcher takes its fair share of the backlog
-        and no more, so an empty queue always dispatches immediately
-        (depth-adaptive batching must not tax a lightly loaded stream).
-        Only when the observed depth promised a bigger batch than the
-        queue delivered does the dispatcher linger 2 ms for stragglers.
+        A dispatcher takes ``ceil(queue depth / workers)`` more tickets,
+        at most ``_HOP_CAP`` in all: its share of the backlog and no
+        more, so an idle queue dispatches its one ticket at once.
+        Nothing awaits between reading the depth and draining, so the
+        queue always holds the share.
         """
         assert self._queue is not None
-        queue = self._queue
-
-        def drain(limit: int) -> None:
-            while len(batch) < limit:
-                try:
-                    batch.append(queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    return
-
-        target = max(1, min(
-            self.micro_batch, -(-queue.qsize() // self.workers) + 1
-        ))
-        drain(target)
-        if len(batch) < target:
-            # Single bounded linger (not a wait_for(queue.get()) — that
-            # can lose an item to cancellation); then take what arrived.
-            await asyncio.sleep(_LINGER_S)
-            drain(target)
+        share = -(-self._queue.qsize() // self.workers)
+        for _ in range(min(_HOP_CAP - 1, share)):
+            batch.append(self._queue.get_nowait())
 
     def _put(
         self, pool: Executor, requests: List[RunRequest]
@@ -531,21 +518,16 @@ class StreamGateway:
         return loop.run_in_executor(pool, _run_tickets, requests)
 
     async def _dispatch_batch(self, tickets: List[_Ticket]) -> None:
-        """Run one micro-batch through the executor, one hop for all.
+        """Run one coalesced batch through the executor, one hop for all.
 
-        Per-request semantics are identical to per-request dispatch (the
-        ``micro_batch=1`` default *is* per-request dispatch): queued-
-        deadline expiry is checked per ticket before the hop, mid-run
-        deadlines are enforced per ticket against the shared hop, and an
-        executor failure fails every non-abandoned ticket in the batch.
+        A ticket whose deadline expired in the queue is cancelled here,
+        before the hop; the rest share one hop (:meth:`_run_hop`).
         """
         now = time.perf_counter()
         live: List[_Ticket] = []
-        waited: Dict[int, float] = {}
-        deadlines: Dict[int, Optional[float]] = {}
         for ticket in tickets:
-            w = now - ticket.enqueued_at
-            deadline_s = self._deadline_s(ticket.request)
+            ticket.queue_s = w = now - ticket.enqueued_at
+            ticket.deadline_s = deadline_s = self._deadline_s(ticket.request)
             if deadline_s is not None and w >= deadline_s:
                 self._resolve(ticket, RunSummary(
                     request=ticket.request,
@@ -560,11 +542,19 @@ class StreamGateway:
                 ))
                 continue
             live.append(ticket)
-            waited[id(ticket)] = w
-            deadlines[id(ticket)] = deadline_s
-        if not live:
-            return
+        if live:
+            await self._run_hop(live)
 
+    async def _run_hop(self, live: List[_Ticket]) -> None:
+        """Put ``live`` on the pool as one hop and resolve every ticket.
+
+        Mid-run deadlines are enforced per ticket against the shared hop.
+        A pool death that breaks a hop of several requests replaces the
+        pool and re-runs each request the hop still owes as a one-request
+        hop, one at a time; a one-request hop broken by a death fails.
+        So a killer request runs at most twice, and a death fails at most
+        one request per dispatcher.
+        """
         pool = self._pool
         requests = [t.request for t in live]
         try:
@@ -576,6 +566,7 @@ class StreamGateway:
             self._replace_pool(pool)
             pool = self._pool
             task = self._put(pool, requests)
+        self.metrics.hops += 1
 
         # Enforce mid-run deadlines per ticket, soonest first.  The hop is
         # shared, so a timed-out ticket abandons its *result*, never the
@@ -583,15 +574,14 @@ class StreamGateway:
         # with laxer (or no) budgets.
         abandoned: set = set()
         timed = sorted(
-            (t for t in live if deadlines[id(t)] is not None),
-            key=lambda t: t.enqueued_at + deadlines[id(t)],
+            (t for t in live if t.deadline_s is not None),
+            key=lambda t: t.enqueued_at + t.deadline_s,
         )
         for ticket in timed:
             if task.done():
                 break
             remaining = (
-                ticket.enqueued_at + deadlines[id(ticket)]
-                - time.perf_counter()
+                ticket.enqueued_at + ticket.deadline_s - time.perf_counter()
             )
             try:
                 await asyncio.wait_for(
@@ -599,24 +589,23 @@ class StreamGateway:
                 )
             except asyncio.TimeoutError:
                 total = time.perf_counter() - ticket.enqueued_at
-                deadline_s = deadlines[id(ticket)]
                 abandoned.add(id(ticket))
                 self._resolve(ticket, RunSummary(
                     request=ticket.request,
                     ok=False,
                     status=STATUS_CANCELLED,
-                    queue_s=waited[id(ticket)],
+                    queue_s=ticket.queue_s,
                     latency_s=total,
                     error=(
                         f"deadline: exceeded mid-run after "
                         f"{total * 1e3:.1f}ms "
-                        f"(budget {deadline_s * 1e3:.0f}ms); "
+                        f"(budget {ticket.deadline_s * 1e3:.0f}ms); "
                         f"result abandoned"
                     ),
                 ))
             # repro: ignore[RPR006] -- not swallowed: the same exception
             # re-raises out of the shared `await task` below, where every
-            # surviving ticket is resolved as STATUS_FAILED.
+            # surviving ticket is resolved.
             except Exception:
                 break
 
@@ -631,16 +620,22 @@ class StreamGateway:
             raw = await task
         except Exception as exc:
             # Infrastructure failure (e.g. BrokenProcessPool after a pool
-            # child is OOM-killed, pickling errors).  Every non-abandoned
-            # ticket MUST still resolve — an unresolved future deadlocks
-            # serve().  The runs are FAILED, not completed: they produced
-            # no result, and mislabeling them would poison digests and
-            # percentiles.  The hops in flight on a dead pool fail, and
-            # the pool is replaced once (identity-guarded) and counted
-            # once.
-            for ticket in live:
-                if id(ticket) in abandoned:
-                    continue
+            # child is OOM-killed, pickling errors).  Every owed ticket
+            # MUST still resolve — an unresolved future deadlocks
+            # serve().  A dead pool is replaced once (identity-guarded)
+            # and counted once.  Execution is deterministic, so a
+            # coalesced hop's requests re-run alone on the new pool (a
+            # closing gateway builds none); the rest are FAILED, not
+            # completed: they produced no result, and mislabeling them
+            # would poison digests and percentiles.
+            owed = [t for t in live if id(t) not in abandoned]
+            if isinstance(exc, BrokenExecutor):
+                self._replace_pool(pool)
+                if len(live) > 1 and not self._closed:
+                    for ticket in owed:
+                        await self._run_hop([ticket])
+                    return
+            for ticket in owed:
                 self._resolve(ticket, RunSummary(
                     request=ticket.request,
                     ok=False,
@@ -648,8 +643,6 @@ class StreamGateway:
                     latency_s=time.perf_counter() - ticket.enqueued_at,
                     error=f"executor failure: {type(exc).__name__}: {exc}",
                 ))
-            if isinstance(exc, BrokenExecutor):
-                self._replace_pool(pool)
             return
 
         summaries = (
@@ -671,7 +664,7 @@ class StreamGateway:
                     if summary.status == STATUS_FAILED
                     else STATUS_COMPLETED
                 ),
-                queue_s=waited[id(ticket)],
+                queue_s=ticket.queue_s,
                 latency_s=time.perf_counter() - ticket.enqueued_at,
             ))
 
@@ -801,7 +794,6 @@ def serve(
     queue_cap: int = 64,
     policy: str = "reject",
     deadline_ms: Optional[float] = None,
-    micro_batch: int = 1,
     record: Optional[str] = None,
 ) -> StreamReport:
     """Run one full open-loop stream to completion (sync entry point).
@@ -839,7 +831,6 @@ def serve(
             queue_cap=queue_cap,
             policy=policy,
             deadline_ms=deadline_ms,
-            micro_batch=micro_batch,
         )
         try:
             async with gateway:

@@ -5,9 +5,9 @@ The harness's gates in test form: poison requests resolve as failed
 nor the batch service (pool replaced, judged summaries still reported),
 the digests over surviving runs stay byte-identical to a sequential
 re-execution, and a report names exactly the four gates.  Plus the one
-recovery policy: hops in flight on a dead pool fail, the pool is
-replaced once, and a hop refused at submit is replayed once on the new
-pool.
+recovery policy: a dead pool is replaced once, a coalesced hop on it
+re-runs its requests one at a time while a one-request hop on it fails,
+and a hop refused at submit is replayed once on the new pool.
 """
 
 import asyncio
@@ -32,6 +32,7 @@ from repro.service import (
     requests_from_scenarios,
     run_chaos,
     serve,
+    summaries_digest,
 )
 from repro.service.__main__ import main
 
@@ -124,7 +125,7 @@ def test_pool_death_mid_batch_reports_judged_summaries():
     runs match a sequential re-execution byte for byte."""
     requests = _requests(8)
     requests[4] = inject(requests[4], "kill")
-    service = BatchService(workers=2, chunk=2)
+    service = BatchService(workers=2)
     report = service.run_batch(requests)
 
     assert len(report.summaries) == len(requests)  # nothing lost
@@ -133,9 +134,9 @@ def test_pool_death_mid_batch_reports_judged_summaries():
     assert killed.status == STATUS_FAILED and not killed.resolved
     assert "executor failure: BrokenProcessPool" in killed.error
     assert report.pool_replacements >= 1
-    assert report.unresolved  # the dead chunk(s)
+    assert report.unresolved  # the killer, and any hop caught with it
     resolved = [s for s in report.summaries if s.resolved]
-    assert resolved  # chunks judged before the kill are still reported
+    assert resolved  # runs judged around the kill are still reported
     assert all(s.status == STATUS_COMPLETED for s in resolved)
 
     baseline = BatchService(workers=0).run_batch(
@@ -200,7 +201,7 @@ def test_run_chaos_gates_pass_with_worker_kill():
     }
 
 
-# -- one recovery policy: hops on a dead pool fail, one replacement ----------
+# -- one recovery policy: re-run a coalesced hop alone, one replacement ------
 
 
 def test_single_kill_request_batch_counts_its_replacement():
@@ -214,17 +215,18 @@ def test_single_kill_request_batch_counts_its_replacement():
 
 
 def test_mid_batch_kill_replaces_pool_exactly_once():
-    """One kill in a 40-request batch of one-request hops: the batch
-    returns instead of raising, the dead pool is replaced once, only the
-    hops in flight on it fail (at most one per worker), and the resolved
-    runs match a sequential re-run."""
+    """One kill in a 40-request batch: the batch returns instead of
+    raising, and the killer breaks two pools, once inside its coalesced
+    hop and once re-run alone.  Each dead pool is replaced once, at most
+    one request per worker fails, and the resolved runs match a
+    sequential re-run."""
     workers = 2
     requests = _requests(40, seed0=61)
     requests[17] = inject(requests[17], "kill")
-    report = BatchService(workers=workers, chunk=1).run_batch(requests)
+    report = BatchService(workers=workers).run_batch(requests)
     assert len(report.summaries) == len(requests)
     assert report.summaries[17].status == STATUS_FAILED
-    assert report.pool_replacements == 1
+    assert report.pool_replacements == 2
     assert 1 <= len(report.unresolved) <= workers
     resolved = [s for s in report.summaries if s.resolved]
     baseline = BatchService(workers=0).run_batch(
@@ -232,6 +234,37 @@ def test_mid_batch_kill_replaces_pool_exactly_once():
     )
     assert baseline.ok
     assert baseline.batch_digest() == report.batch_digest()
+
+
+def test_killer_in_a_coalesced_hop_fails_alone():
+    """One worker, eight queued requests, one killer: the hop of eight
+    breaks the pool, each request re-runs alone on the replacement, and
+    only the killer fails, breaking a second pool.  Its seven batch-mates
+    complete with a sequential run's digests."""
+    requests = _requests(8, seed0=71)
+    requests[3] = inject(requests[3], "kill")
+
+    async def main():
+        gateway = StreamGateway(workers=1, backend="process", policy="block")
+        async with gateway:
+            # The submit loop never yields, so all eight are queued before
+            # the one dispatcher first runs.
+            futures = [await gateway.submit(r) for r in requests]
+            summaries = [await f for f in futures]
+        return summaries, gateway.metrics
+
+    summaries, metrics = asyncio.run(asyncio.wait_for(main(), timeout=120))
+    assert [s.status for s in summaries] == (
+        [STATUS_COMPLETED] * 3 + [STATUS_FAILED] + [STATUS_COMPLETED] * 4
+    )
+    assert metrics.pool_replacements == 2
+    assert metrics.hops == 9  # the coalesced hop, then eight alone
+    mates = summaries[:3] + summaries[4:]
+    sequential = BatchService(workers=0).run_batch(
+        [s.request for s in mates]
+    )
+    assert sequential.ok
+    assert summaries_digest(mates) == sequential.batch_digest()
 
 
 def test_idle_worker_death_is_replaced_at_submit():

@@ -29,6 +29,7 @@ from repro.scenarios.generators import (
 )
 from repro.scenarios.runner import ALGORITHMS, AlgorithmSpec, register_algorithm
 from repro.service import BatchService, requests_from_scenarios, summaries_digest
+from repro.service import stream as stream_mod
 from repro.service.net import (
     BadMagic,
     Frame,
@@ -414,6 +415,28 @@ def test_no_admitted_row_is_rejected():
     assert gateway["offered"] == gateway["completed"] == 20
     assert gateway["rejected"] == 0
     assert summaries_digest(summaries) == expected
+
+
+def test_server_runs_an_envelope_as_one_hop(monkeypatch):
+    """The gateway behind a server coalesces an envelope's queued rows:
+    one worker runs an 8-row envelope as one executor hop, and the
+    METRICS frame counts it."""
+    hops = []
+    real = stream_mod._run_tickets
+
+    def counting(requests):
+        hops.append(len(requests))
+        return real(requests)
+
+    monkeypatch.setattr(stream_mod, "_run_tickets", counting)
+    requests = _requests(8, seed0=960)
+    with ServerThread(workers=1) as st:
+        with Client(st.host, st.port, timeout=30) as client:
+            summaries = client.collect(client.submit(requests))
+            gateway = client.metrics()["gateway"]
+    assert hops == [8]
+    assert gateway["hops"] == 1
+    assert [s.status for s in summaries] == [STATUS_COMPLETED] * 8
 
 
 def test_oversized_summary_is_a_typed_error_not_a_hang():

@@ -703,10 +703,19 @@ def test_lineage_cache_evicts_lru_past_its_bound():
 
 def test_saturated_gateway_refuses_with_retry_after(sleepy_algorithm):
     big = _sleepy_requests(3, sleepy_algorithm, seed0=1500)
+    queued = _sleepy_requests(3, sleepy_algorithm, seed0=1505)
     small = _sleepy_requests(2, sleepy_algorithm, seed0=1510)
     with ServerThread(workers=1, queue_cap=3, session_quota=64) as st:
-        with _Connection(st.host, st.port, timeout=10) as client:
+        with _Connection(st.host, st.port, timeout=10) as client, \
+                _Connection(st.host, st.port, timeout=10) as other:
             ch_big = client.submit(big)
+            # big's rows leave the queue in one hop; a second session's
+            # rows then wait behind it and fill the queue.  A METRICS
+            # call returns after its session's earlier frames are served.
+            while client.metrics()["gateway"]["hops"] < 1:
+                time.sleep(0.005)
+            ch_queued = other.submit(queued)
+            other.metrics()
             ch_small = client.submit(small)
             from repro.service.net import ServerError
 
@@ -721,6 +730,7 @@ def test_saturated_gateway_refuses_with_retry_after(sleepy_algorithm):
             assert len(client.collect(ch_big)) == len(big)
             retried = client.collect(client.submit(small))
             assert all(s.status == STATUS_COMPLETED for s in retried)
+            assert len(other.collect(ch_queued)) == len(queued)
 
 
 def test_resilient_client_honours_retry_after(sleepy_algorithm):

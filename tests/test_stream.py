@@ -28,6 +28,7 @@ from repro.service import (
     serve,
     summaries_digest,
 )
+from repro.service import batch as batch_mod
 from repro.service import stream as stream_mod
 from repro.service.__main__ import main
 from repro.service.stream import replay
@@ -247,8 +248,8 @@ def test_gateway_default_deadline_applies_to_unset_requests(sleepy_algorithm):
 
 
 def test_coalesced_hop_enforces_per_ticket_deadlines(monkeypatch):
-    """A micro-batched hop keeps per-request deadlines: a straggler in
-    the hop costs only the batch-mate whose own budget runs out, and the
+    """A coalesced hop keeps per-request deadlines: a straggler in the
+    hop costs only the batch-mate whose own budget runs out, and the
     survivors' digest equals a sequential run."""
     hops = []
     real = stream_mod._run_tickets
@@ -269,9 +270,7 @@ def test_coalesced_hop_enforces_per_ticket_deadlines(monkeypatch):
     requests[1] = replace(requests[1], deadline_ms=100)
 
     async def main():
-        gateway = StreamGateway(
-            workers=1, backend="thread", policy="block", micro_batch=4
-        )
+        gateway = StreamGateway(workers=1, backend="thread", policy="block")
         async with gateway:
             # The submit loop never yields, so all eight are queued before
             # the one dispatcher first runs.
@@ -279,7 +278,7 @@ def test_coalesced_hop_enforces_per_ticket_deadlines(monkeypatch):
             return [await f for f in futures]
 
     summaries = asyncio.run(asyncio.wait_for(main(), timeout=30))
-    assert hops == [4, 4]
+    assert hops == [8]
     assert summaries[1].status == STATUS_CANCELLED
     survivors = summaries[:1] + summaries[2:]
     assert all(s.status == STATUS_COMPLETED and s.ok for s in survivors)
@@ -437,14 +436,16 @@ def test_executor_failure_resolves_ticket_instead_of_deadlocking(monkeypatch):
 def test_failed_runs_excluded_from_success_latency(monkeypatch):
     """Fast crashes must not drag success percentiles down: failure
     latency is tracked in its own histogram."""
-    real = stream_mod.execute_request
+    real = batch_mod._RUNNER.run
 
-    def crash_odd(req):
-        if req.seed % 2:
+    def crash_odd(scenario, **kwargs):
+        if scenario.seed % 2:
             raise RuntimeError("boom")
-        return real(req)
+        return real(scenario, **kwargs)
 
-    monkeypatch.setattr(stream_mod, "execute_request", crash_odd)
+    # Raise inside execute_request, which fails only the crashed run: a
+    # crash out of the hop would fail its batch-mates too.
+    monkeypatch.setattr(batch_mod._RUNNER, "run", crash_odd)
     requests = _requests(6)  # seeds 500..505 -> 3 crashes
     report = serve(
         requests, [0.0] * 6, workers=1, backend="thread"

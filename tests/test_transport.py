@@ -159,7 +159,7 @@ def test_batch_outlives_two_pool_respawns():
     requests = _requests(10, seed0=70)
     requests[1] = inject(requests[1], "kill")
     requests[9] = inject(requests[9], "kill")
-    report = BatchService(workers=2, chunk=2).run_batch(requests)
+    report = BatchService(workers=2).run_batch(requests)
     assert report.pool_replacements >= 2
 
 
