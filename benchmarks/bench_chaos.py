@@ -1,10 +1,11 @@
 """E17: chaos harness — tail latency and recovery under injected faults.
 
-The ISSUE 6 acceptance gate: a live process-backed gateway survives a
-SIGKILLed pool worker and poison requests (pool replaced, requests
-submitted after the kill still complete), the digests of the surviving
-runs are byte-identical to a sequential re-execution of exactly those
-requests, and p99 under injected stragglers degrades *boundedly*:
+A live process-backed gateway survives a SIGKILLed worker process and
+poison requests (the dead worker replaced, requests submitted after the
+kill still complete, and only the planted faults fail), the digests of
+the surviving runs are byte-identical to a sequential re-execution of
+exactly those requests, and p99 under injected stragglers degrades
+*boundedly*:
 
     p99_chaos <= P99_FACTOR * (p99_clean + straggler_ms) + P99_SLACK_MS
 

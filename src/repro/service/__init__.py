@@ -14,8 +14,9 @@ Two front ends share the same envelopes, judgement and digests:
   explicit backpressure (reject or block), enforces per-request
   deadlines, and records tail-latency histograms; judged on sustained
   throughput and p50/p95/p99, not batch wall-time.  It is the one
-  owner of a worker pool: its build, envelope hop and recovery from pool
-  death serve both front ends.  Pool workers warm their own plan caches.
+  owner of worker processes: their start, envelope hop and recovery
+  from a worker's death serve both front ends.  Workers warm their own
+  plan caches.
 
 Two operational companions ride on the same envelopes:
 
@@ -27,8 +28,8 @@ Two operational companions ride on the same envelopes:
   requests, stragglers) against live gateways, gated on recovery,
   digest correctness, and bounded p99.
 * :mod:`repro.service.transport` — the columnar envelope codec: one
-  request envelope and one summary envelope per process-pool hop, shipped
-  as plain bytes.
+  request envelope and one summary envelope per hop, sent down a worker
+  process's socket as length-prefixed bytes.
 * :mod:`repro.service.net` — the networked front end: a versioned
   length-prefixed binary protocol over TCP whose payloads are the
   transport's columnar envelopes; asyncio server fronting the stream

@@ -5,7 +5,7 @@ Verbs::
     batch           run a mixed batch; per-family rollups
     stream          open-loop stream through the gateway; tail latency
     chaos           worker kills, poison requests and stragglers against
-                    a live pool; four gates
+                    a live gateway; four gates
     capture info    print a capture's header and counts
     capture replay  re-feed a capture through a live gateway; the
                     digests must match

@@ -12,14 +12,14 @@ users").  This module is that front end:
 * ``workers < 2`` runs a batch in-process in request order (the
   determinism baseline).  ``workers >= 2`` runs it through a
   process-backed :class:`~repro.service.stream.StreamGateway` — the one
-  piece of code that owns a worker pool, its envelope hop and its
-  recovery from pool death.
+  piece of code that owns worker processes, their envelope hop and the
+  recovery from a worker's death.
 * Every run is judged exactly as the scenario harness judges it (oracle
   verification, round bounds, message budget) and collapsed to a
   :class:`~repro.core.engine.RunSummary`; summaries come back in request
   order.
 * **Workers warm themselves.**  A pooled batch runs every request in a
-  pool worker; nothing runs in the calling process first.  Each worker's
+  worker process; nothing runs in the calling process first.  Each worker's
   plan cache stores the plans it computes twice (group partitions and
   header codecs at the same ``n``, the colorings of uniform announce
   demands), exactly as the in-process path does.
@@ -71,7 +71,7 @@ def summaries_digest(summaries: Iterable[RunSummary]) -> str:
     through here, which is what makes "streaming == batch == sequential"
     a one-line comparison.
 
-    Unresolved runs — crashed engines, dead pool workers, resolution
+    Unresolved runs — crashed engines, dead worker processes, resolution
     errors, anything with no output digest — are skipped, so the fold
     covers exactly the runs that executed to a judged end.  That is the
     chaos-harness invariant: the digest of the runs that *survived* a
@@ -172,7 +172,8 @@ class BatchReport:
     workers: int
     wall_s: float
     plan_cache_stats: Tuple[int, int, int] = (0, 0, 0)
-    #: worker pools rebuilt after mid-batch breakage (0 on a healthy run).
+    #: worker processes replaced after dying mid-batch (0 on a healthy
+    #: run).
     pool_replacements: int = 0
 
     @property
@@ -289,7 +290,7 @@ class BatchService:
         self, requests: List[RunRequest]
     ) -> Tuple[List[RunSummary], int]:
         """Run ``requests`` through a process-backed gateway, in order;
-        returns the summaries and the gateway's pool replacements."""
+        returns the summaries and the gateway's worker replacements."""
         if not requests:
             return [], 0
         # stream.py imports this module, so the gateway is imported late.

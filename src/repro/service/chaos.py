@@ -9,15 +9,15 @@ behaved:
 * ``poison`` — the request crashes the engine (an exception inside
   ``execute_request``); must resolve as ``STATUS_FAILED``, never as a
   completion, and never enter success percentiles or digests.
-* ``kill`` — the pool worker executing the request SIGKILLs itself,
-  breaking the whole ``ProcessPoolExecutor``; the gateway must replace
-  the pool and keep serving (in-flight collateral fails, later requests
-  complete).
+* ``kill`` — the worker process executing the request SIGKILLs itself;
+  the gateway must replace that one worker and keep serving.  Only the
+  killer fails: hops on other workers never notice, and hops queued
+  behind the killer's in its socket are resent to the replacement.
 * ``slow:<ms>`` — a straggler: the worker sleeps before executing, the
   run still completes correctly; p99 must degrade *boundedly*.
 
 Fault transport rides the request envelope itself: a ``chaos:``-prefixed
-``tag`` travels in the pickled :class:`~repro.core.engine.RunRequest`
+``tag`` travels in the :class:`~repro.core.engine.RunRequest` envelope
 and is interpreted by ``execute_request`` inside whichever process runs
 it — no worker-side setup, no shared state, works across every backend.
 On the process backend no request of a pooled batch or stream runs in
@@ -29,7 +29,8 @@ Gates (all must hold for exit code 0):
 1. **recovered** — after a kill, ``pool_replacements >= 1`` and requests
    submitted after the kill point complete.
 2. **faults contained** — every injected poison/kill request resolves as
-   ``STATUS_FAILED`` (with its latency in the failure histogram only).
+   ``STATUS_FAILED`` (with its latency in the failure histogram only),
+   and no other request fails.
 3. **digests correct** — the digest over the surviving (completed) runs
    is byte-identical to a sequential re-execution of exactly those
    requests.
@@ -93,7 +94,7 @@ def apply_fault(tag: str) -> None:
     Called by ``execute_request`` before the scenario runs.  ``poison``
     raises (a clean engine crash), ``kill`` SIGKILLs the executing
     process (un-catchable — exactly what an OOM kill looks like to the
-    pool), ``slow:<ms>`` sleeps and then lets the run proceed normally.
+    gateway), ``slow:<ms>`` sleeps and then lets the run proceed normally.
     An unknown fault raises, which surfaces as a failed run rather than
     silently executing a request that asked for chaos.
     """
@@ -143,7 +144,7 @@ def build_chaos_plan(
     """Generate a mixed workload and convert some of it into faults.
 
     The first kill lands at ``count // 3`` so a healthy prefix runs on
-    the first pool and a long suffix proves post-kill recovery; poisons
+    the first workers and a long suffix proves post-kill recovery; poisons
     and stragglers are scattered deterministically from ``seed``.
     """
     if not 0.0 <= straggler_frac <= 1.0:
@@ -162,7 +163,7 @@ def build_chaos_plan(
     requests = list(clean)
     rng = random.Random(seed)
     # Kills first: the earliest at count//3, any further ones spread
-    # behind it so each lands on an already-replaced pool.
+    # behind it so each lands after a worker has been replaced.
     kill_indices = [
         count // 3 + i * max(1, (count - count // 3) // (kills + 1))
         for i in range(kills)
@@ -331,8 +332,12 @@ def run_chaos(
             not plan.kill_indices
             or (replacements >= 1 and bool(post_kill_completed))
         ),
-        "faults_contained": all(
-            summaries[i].status == STATUS_FAILED for i in plan.fault_indices
+        "faults_contained": (
+            all(
+                summaries[i].status == STATUS_FAILED
+                for i in plan.fault_indices
+            )
+            and len(chaos_report.failed) == len(plan.fault_indices)
         ),
         "digests_correct": digest_ok,
         "p99_bounded": (

@@ -7,15 +7,16 @@ on batch wall-time.  This module is the *online* regime the ROADMAP's
 accepts a continuous stream of :class:`~repro.core.engine.RunRequest`
 envelopes, applies explicit backpressure, enforces per-request deadlines,
 and is judged on sustained throughput and tail latency (p50/p95/p99).
-It is also the only code that owns a worker pool: a pooled batch
+It is also the only code that owns worker processes: a pooled batch
 (``BatchService(workers >= 2)``) runs on a process-backed gateway.
 
 Architecture::
 
     replay(requests, arrivals)        open-loop arrival clock
         -> StreamGateway.submit()     bounded queue, reject-or-block
-            -> worker tasks (async)   deadline check, dispatch
-                -> Executor pool      execute_request in process/thread
+            -> dispatchers (async)    deadline check, coalesce, dispatch
+                -> worker processes   one socket each: run_envelope
+                   (or a thread pool) execute_request
         <- asyncio.Future[RunSummary] per request, resolved on completion
 
 * **Backpressure.**  The request queue is bounded (``queue_cap``).  Policy
@@ -27,15 +28,15 @@ Architecture::
   gateway default).  A request whose deadline expires while queued is
   cancelled without executing; one that exceeds its remaining budget
   mid-run is abandoned (``status == "cancelled"``).  Abandonment drops the
-  result but cannot retract work already submitted to a pool worker — that
-  worker finishes the stale run and only then takes new work, exactly the
+  result but cannot retract work already sent to a worker — that worker
+  finishes the stale run and only then takes new work, exactly the
   slot-occupancy cost a real service pays for late cancellation.
-* **Workers warm themselves.**  Every request runs on the pool; nothing
+* **Workers warm themselves.**  Every request runs on a worker; nothing
   runs ahead of it in the calling process.  Each process-backend worker
-  starts with an empty :class:`~repro.core.context.PlanCache` and stores
-  the plans it computes twice: the ones that recur.  The thread backend
+  keeps its own :class:`~repro.core.context.PlanCache` and stores the
+  plans it computes twice: the ones that recur.  The thread backend
   shares the process-wide plan cache outright — it exists for
-  environments where process pools are unavailable (restricted
+  environments where worker processes are unavailable (restricted
   sandboxes, embedded interpreters); the GIL serializes pure-Python
   execution, so it trades throughput for portability.
 * **Metrics.**  :class:`StreamMetrics` records latency/queue-wait/service
@@ -43,25 +44,33 @@ Architecture::
   counters and queue-depth extrema; :class:`StreamReport` rolls them up
   with the order-independent digest shared with the batch service, so
   "streaming == batch == sequential" is a one-line comparison.
-* **Columnar envelopes.**  The process backend ships each hop as one
-  request envelope (:mod:`repro.service.transport`) through the pool's
-  own call queue and gets one summary envelope back: plain bytes both
-  ways.
-* **Pool death.**  A dead pool child breaks the whole pool, which is
-  replaced once and counted once.  A one-request hop in flight on it
-  fails; a coalesced hop re-runs each request it still owes as a
-  one-request hop of its own, so a death fails at most ``workers``
-  requests.  A pool that broke while idle refuses the next submit;
-  nothing ran, so the gateway replaces the pool and submits that hop
-  once more.
+* **Worker sockets.**  ``start()`` starts ``workers`` processes, each
+  joined to the gateway by one ``socket.socketpair()``.  A hop goes down
+  it as one length-prefixed request envelope
+  (:mod:`repro.service.transport`) and its summary envelope comes back
+  the same way, read and written by asyncio streams on the gateway's
+  event loop; the worker runs a plain blocking loop.  No executor thread
+  and no pickled call item sit on the path.
+* **Worker death.**  A worker answers its hops strictly in send order,
+  so when its socket closes, the oldest unanswered hop is the only one
+  that can have run.  Only that worker is replaced; the hops queued
+  behind the suspect are resent whole to the replacement, and no other
+  worker's hop is touched.  The suspect re-runs each request it still
+  owes as a one-request hop of its own when it had several, and fails
+  when it had one, so a death fails at most the request that caused it.
+  A worker that dies while idle is replaced as soon as its socket
+  closes.
 * **Coalescing.**  A dispatcher takes its share of the backlog,
-  ``ceil(queue depth / workers)`` queued requests beyond the one it
-  waited for, into one executor hop of at most ``_HOP_CAP`` requests
-  (guided self-scheduling).  An idle queue dispatches at once; a
-  backlog pays one encode, IPC round trip and decode per hop instead
-  of per request.  Deadlines stay per request.
-* **One dispatcher per worker.**  The gateway runs exactly ``workers``
-  dispatcher tasks over a pool of ``workers`` processes (or threads).
+  ``ceil((queue depth + 1) / workers)`` queued requests counting the one
+  it waited for, into one hop of at most ``_HOP_CAP`` requests (guided
+  self-scheduling).  An idle queue dispatches at once; a backlog pays
+  one encode, round trip and decode per hop instead of per request.
+  Deadlines stay per request.
+* **Two hops deep.**  The process backend runs ``2 * workers``
+  dispatchers and puts each hop on the worker with the fewest
+  unanswered hops, so a worker finds its next hop already in its socket
+  when it finishes one.  The thread backend runs ``workers``
+  dispatchers over a pool of ``workers`` threads.
 
 Command line::
 
@@ -75,15 +84,16 @@ See DESIGN.md section 7 for the semantics.
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
+import socket
 import time
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from multiprocessing.process import BaseProcess
+from multiprocessing.util import register_after_fork
+from typing import Deque, Dict, List, Optional, Sequence
 
 from ..core.engine import (
     STATUS_CANCELLED,
@@ -96,7 +106,12 @@ from ..core.engine import (
 )
 from ..core.metrics import LatencyHistogram
 from .batch import execute_request, summaries_digest
-from .transport import decode_summaries, encode_requests, run_envelope
+from .transport import (
+    LENGTH,
+    decode_summaries,
+    encode_requests,
+    serve_envelopes,
+)
 
 __all__ = [
     "STATUS_CANCELLED",
@@ -113,10 +128,14 @@ __all__ = [
 BACKENDS = ("process", "thread")
 POLICIES = ("reject", "block")
 
-#: Most requests one executor hop carries: a 16-row envelope splits into
-#: one hop per worker of a 2-worker pool, and a pool death re-runs at most
-#: this many requests per dispatcher.
+#: Most requests one hop carries: a 16-row envelope splits into one hop
+#: per worker of a 2-worker gateway, and a worker death re-runs at most
+#: this many requests.
 _HOP_CAP = 8
+
+#: Seconds ``close()`` waits for the worker processes to exit on EOF
+#: before it kills the rest (a stale run nobody waits for).
+_REAP_S = 5.0
 
 
 def _swallow_task_result(task: "asyncio.Future[object]") -> None:
@@ -154,12 +173,14 @@ class StreamMetrics:
         self.rejected = 0
         self.cancelled = 0
         #: runs that produced no judged result (STATUS_FAILED: engine
-        #: crashes, dead pool workers) plus completed runs whose
+        #: crashes, dead worker processes) plus completed runs whose
         #: verification/bounds judgement failed.
         self.failed = 0
-        #: executor pools rebuilt after breakage (chaos recovery gate).
+        #: worker processes replaced after they died (chaos recovery
+        #: gate); the name predates per-worker replacement.
         self.pool_replacements = 0
-        #: executor hops put on a pool, re-runs included.
+        #: hops put on the workers, re-runs included (a hop resent to a
+        #: replacement worker is not a new hop).
         self.hops = 0
         self.queue_depth_max = 0
         self._depth_sum = 0
@@ -218,6 +239,32 @@ class StreamMetrics:
 
 
 @dataclass
+class _Hop:
+    """One hop on a worker socket: its length-prefixed request envelope,
+    kept to resend, and the future of its summary envelope."""
+
+    frame: bytes
+    future: "asyncio.Future[bytes]"
+
+
+class _Worker:
+    """One worker process and the gateway's end of its socket.
+
+    ``pending`` holds the hops sent to the process and not yet answered,
+    in send order.  The process answers strictly in that order, so the
+    head is the only hop it can be running.
+    """
+
+    def __init__(self) -> None:
+        self.process: Optional[BaseProcess] = None
+        #: ``None`` while a replacement process is being connected; hops
+        #: put on the worker meanwhile wait in ``pending``.
+        self.writer: Optional[asyncio.StreamWriter] = None
+        self.reader: Optional["asyncio.Task[None]"] = None
+        self.pending: Deque[_Hop] = deque()
+
+
+@dataclass
 class _Ticket:
     """One enqueued request: envelope, enqueue timestamp, result future,
     and the queue wait and latency budget stamped when it is dispatched."""
@@ -230,16 +277,16 @@ class _Ticket:
 
 
 class StreamGateway:
-    """Long-lived asyncio front end over an executor pool.
+    """Long-lived asyncio front end over worker processes (or threads).
 
     Args:
-        workers: concurrent in-flight executions (async dispatcher tasks,
-            and the executor pool size).
+        workers: worker processes (process backend) or pool threads
+            (thread backend) that run the hops.
         engine: default engine name stamped on requests with
             ``engine=None``.
-        backend: ``"process"`` (a ``ProcessPoolExecutor`` — the
-            throughput configuration) or ``"thread"`` (portable,
-            GIL-serialized).
+        backend: ``"process"`` (worker processes the gateway drives over
+            one socket each — the throughput configuration) or
+            ``"thread"`` (a thread pool: portable, GIL-serialized).
         queue_cap: bound on the request queue — the backpressure knob.
         policy: ``"reject"`` (shed load when the queue is full) or
             ``"block"`` (make ``submit`` await space).
@@ -247,7 +294,10 @@ class StreamGateway:
             ``deadline_ms`` wins.  ``None`` means no deadline.
 
     Each dispatcher coalesces its share of the queued requests into one
-    executor hop of at most ``_HOP_CAP`` (see :meth:`_coalesce`).
+    hop of at most ``_HOP_CAP`` (see :meth:`_coalesce`).  The process
+    backend runs ``2 * workers`` dispatchers, so a worker finds its next
+    hop in its socket when it finishes one; the thread backend runs
+    ``workers``.
 
     Use as an async context manager, or call :meth:`start` / :meth:`close`.
     """
@@ -286,7 +336,11 @@ class StreamGateway:
         self.deadline_ms = deadline_ms
         self.metrics = StreamMetrics()
         self._queue: Optional["asyncio.Queue[_Ticket]"] = None
-        self._pool: Optional[Executor] = None
+        self._pool: Optional[ThreadPoolExecutor] = None
+        self._workers: List[_Worker] = []
+        #: every worker process started, replacements included: close()
+        #: reaps them all.
+        self._processes: List[BaseProcess] = []
         self._tasks: List["asyncio.Task[None]"] = []
         self._closed = False
 
@@ -304,45 +358,113 @@ class StreamGateway:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> "StreamGateway":
-        """Build the executor pool and spawn ``workers`` dispatchers."""
-        if self._pool is not None:
-            raise RuntimeError("gateway already started")
+        """Start the workers and spawn the dispatchers."""
         if self._closed:
-            # A closed gateway never accepts submissions again; starting a
-            # pool for it would leak processes and tasks.  One gateway, one
-            # lifecycle.
+            # A closed gateway never accepts submissions again; starting
+            # workers for it would leak processes and tasks.  One gateway,
+            # one lifecycle.
             raise RuntimeError("gateway already closed; build a new one")
-        self._pool = self._build_pool()
+        if self._queue is not None:
+            raise RuntimeError("gateway already started")
         self._queue = asyncio.Queue(maxsize=self.queue_cap)
+        dispatchers = self.workers
+        if self.backend == "process":
+            self._workers = [_Worker() for _ in range(self.workers)]
+            try:
+                for worker in self._workers:
+                    await self._spawn(worker)
+            except BaseException:
+                await self._stop_workers()
+                raise
+            dispatchers *= 2
+        else:
+            self._pool = ThreadPoolExecutor(max_workers=self.workers)
         self._tasks = [
-            asyncio.create_task(self._worker(), name=f"stream-worker-{i}")
-            for i in range(self.workers)
+            asyncio.create_task(self._dispatcher(), name=f"stream-worker-{i}")
+            for i in range(dispatchers)
         ]
         return self
 
-    def _build_pool(self) -> Executor:
-        if self.backend == "process":
-            return ProcessPoolExecutor(max_workers=self.workers)
-        return ThreadPoolExecutor(max_workers=self.workers)
+    async def _spawn(self, worker: _Worker) -> None:
+        """Start a process for ``worker`` on a fresh socket, then send it
+        every hop it owes, in order.
 
-    def _replace_pool(self, broken: Executor) -> None:
-        """Swap a broken executor pool for a fresh one.
-
-        A dead pool child breaks the whole ``ProcessPoolExecutor``: every
-        in-flight and future submission raises ``BrokenExecutor``.  The
-        in-flight requests are already lost (their workers fail them as
-        :data:`STATUS_FAILED`), but the gateway itself must outlive the
-        pool — a long-lived service cannot answer every request after one
-        crash with "broken pool".  Guarded by identity: several worker
-        tasks observe the same breakage in the same event-loop iteration,
-        and only the first one rebuilds (no awaits between check and swap,
-        so the check cannot interleave).
+        The process gets the platform's default start method and runs
+        :func:`~repro.service.transport.serve_envelopes`.  Every process
+        forked from here on, this worker included, closes its copy of the
+        gateway's end, so only the gateway holds it: each side sees EOF
+        when the other goes away.
         """
-        if self._closed or self._pool is not broken:
-            return
-        broken.shutdown(wait=False)
-        self._pool = self._build_pool()
+        ours, theirs = socket.socketpair()
+        register_after_fork(ours, socket.socket.close)
+        try:
+            process = multiprocessing.get_context().Process(
+                target=serve_envelopes, args=(theirs,), daemon=True
+            )
+            try:
+                process.start()
+            finally:
+                theirs.close()
+            self._processes.append(process)
+            worker.process = process
+            reader, writer = await asyncio.open_connection(sock=ours)
+        except BaseException:
+            ours.close()
+            raise
+        worker.writer = writer
+        for hop in worker.pending:
+            writer.write(hop.frame)
+        worker.reader = asyncio.create_task(
+            self._answers(worker, reader), name="stream-answers"
+        )
+
+    async def _answers(
+        self, worker: _Worker, reader: asyncio.StreamReader
+    ) -> None:
+        """Resolve ``worker``'s hops from its answers until its socket
+        closes, then replace the process."""
+        try:
+            while True:
+                head = await reader.readexactly(LENGTH.size)
+                raw = await reader.readexactly(LENGTH.unpack(head)[0])
+                hop = worker.pending.popleft()
+                if not hop.future.done():
+                    hop.future.set_result(raw)
+        except (asyncio.IncompleteReadError, OSError):
+            pass  # EOF or a reset: the process is gone
+        await self._replace(worker)
+
+    async def _replace(self, worker: _Worker) -> None:
+        """Start a new process in place of ``worker``'s dead one.
+
+        Only the oldest unanswered hop can have run, so only it is
+        failed (with ``BrokenProcessPool``, which its dispatcher turns
+        into one-request re-runs or a failure, see :meth:`_run_hop`);
+        every hop queued behind it is resent whole to the replacement.
+        The replacement is counted before the suspect fails, so a batch
+        whose last hop kills a worker still counts it.
+        """
+        assert worker.writer is not None
+        worker.writer.close()
+        worker.writer = None
+        suspect = worker.pending.popleft() if worker.pending else None
         self.metrics.pool_replacements += 1
+        try:
+            await self._spawn(worker)
+        # repro: ignore[RPR006] -- not swallowed: every hop this worker
+        # owes fails with the exception, and its tickets resolve failed.
+        except Exception as exc:
+            # No process could be started: take the worker out of the
+            # rotation.
+            self._workers.remove(worker)
+            for hop in worker.pending:
+                if not hop.future.done():
+                    hop.future.set_exception(exc)
+            worker.pending.clear()
+        if suspect is not None and not suspect.future.done():
+            suspect.future.set_exception(BrokenProcessPool(
+                "the worker process running this hop died"
+            ))
 
     async def drain(self) -> None:
         """Wait until every enqueued request has been resolved."""
@@ -381,7 +503,7 @@ class StreamGateway:
             self._queue.task_done()
 
     async def close(self) -> None:
-        """Drain the queue, stop the workers, shut the pool down."""
+        """Drain the queue, stop the dispatchers, stop the workers."""
         if self._closed:
             return
         self._closed = True
@@ -398,6 +520,26 @@ class StreamGateway:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+        await self._stop_workers()
+
+    async def _stop_workers(self) -> None:
+        """Close every worker socket and reap every process started."""
+        readers = [w.reader for w in self._workers if w.reader is not None]
+        for task in readers:
+            task.cancel()
+        await asyncio.gather(*readers, return_exceptions=True)
+        for worker in self._workers:
+            if worker.writer is not None:
+                worker.writer.close()
+        self._workers = []
+        give_up = time.monotonic() + _REAP_S
+        for process in self._processes:
+            while process.is_alive() and time.monotonic() < give_up:
+                await asyncio.sleep(0.005)
+            if process.is_alive():
+                process.kill()
+            process.join()
+        self._processes = []
 
     async def __aenter__(self) -> "StreamGateway":
         return await self.start()
@@ -451,7 +593,7 @@ class StreamGateway:
         self.metrics.observe_depth(self._queue.qsize())
         return future
 
-    # -- workers -------------------------------------------------------------
+    # -- dispatchers ---------------------------------------------------------
 
     def _deadline_s(self, req: RunRequest) -> Optional[float]:
         ms = req.deadline_ms if req.deadline_ms is not None else self.deadline_ms
@@ -464,7 +606,7 @@ class StreamGateway:
         if not ticket.future.done():
             ticket.future.set_result(summary)
 
-    async def _worker(self) -> None:
+    async def _dispatcher(self) -> None:
         assert self._queue is not None
         queue = self._queue
         while True:
@@ -476,7 +618,7 @@ class StreamGateway:
                 # Defensive backstop: _dispatch_batch already resolves
                 # every executor-failure path, so anything surfacing here
                 # is a dispatcher bug — still, no ticket may be left
-                # unresolved (that deadlocks serve()) and the worker task
+                # unresolved (that deadlocks serve()) and the dispatcher
                 # must survive to fail the backlog fast.
                 for ticket in batch:
                     self._resolve(ticket, RunSummary(
@@ -495,30 +637,41 @@ class StreamGateway:
     def _coalesce(self, batch: List[_Ticket]) -> None:
         """Drain batch-mates into ``batch`` by guided self-scheduling.
 
-        A dispatcher takes ``ceil(queue depth / workers)`` more tickets,
-        at most ``_HOP_CAP`` in all: its share of the backlog and no
-        more, so an idle queue dispatches its one ticket at once.
-        Nothing awaits between reading the depth and draining, so the
-        queue always holds the share.
+        A hop takes ``ceil((depth + 1) / workers)`` tickets in all,
+        counting the one already taken out of a queue of ``depth`` more,
+        at most ``_HOP_CAP``: its share of the backlog over ``workers``
+        workers (whatever the dispatcher count), so an idle queue
+        dispatches its one ticket at once.  Nothing awaits between
+        reading the depth and draining, so the queue always holds the
+        share.
         """
         assert self._queue is not None
-        share = -(-self._queue.qsize() // self.workers)
-        for _ in range(min(_HOP_CAP - 1, share)):
+        share = -(-(self._queue.qsize() + 1) // self.workers)
+        for _ in range(min(_HOP_CAP, share) - 1):
             batch.append(self._queue.get_nowait())
 
-    def _put(
-        self, pool: Executor, requests: List[RunRequest]
-    ) -> "asyncio.Future[object]":
-        """Submit one hop; the process backend ships it as envelope bytes."""
+    def _put(self, requests: List[RunRequest]) -> "asyncio.Future[object]":
+        """Put one hop on a worker; returns the future of its result.
+
+        The process backend sends the hop as one length-prefixed request
+        envelope to the worker with the fewest unanswered hops (a worker
+        being replaced holds it until its new process is connected).
+        """
         loop = asyncio.get_running_loop()
-        if self.backend == "process":
-            return loop.run_in_executor(
-                pool, run_envelope, encode_requests(requests)
-            )
-        return loop.run_in_executor(pool, _run_tickets, requests)
+        if self.backend == "thread":
+            return loop.run_in_executor(self._pool, _run_tickets, requests)
+        if not self._workers:
+            raise BrokenProcessPool("no worker process could be started")
+        blob = encode_requests(requests)
+        hop = _Hop(LENGTH.pack(len(blob)) + blob, loop.create_future())
+        worker = min(self._workers, key=lambda w: len(w.pending))
+        worker.pending.append(hop)
+        if worker.writer is not None:
+            worker.writer.write(hop.frame)
+        return hop.future
 
     async def _dispatch_batch(self, tickets: List[_Ticket]) -> None:
-        """Run one coalesced batch through the executor, one hop for all.
+        """Run one coalesced batch on a worker, one hop for all.
 
         A ticket whose deadline expired in the queue is cancelled here,
         before the hop; the rest share one hop (:meth:`_run_hop`).
@@ -546,26 +699,18 @@ class StreamGateway:
             await self._run_hop(live)
 
     async def _run_hop(self, live: List[_Ticket]) -> None:
-        """Put ``live`` on the pool as one hop and resolve every ticket.
+        """Put ``live`` on a worker as one hop and resolve every ticket.
 
         Mid-run deadlines are enforced per ticket against the shared hop.
-        A pool death that breaks a hop of several requests replaces the
-        pool and re-runs each request the hop still owes as a one-request
-        hop, one at a time; a one-request hop broken by a death fails.
-        So a killer request runs at most twice, and a death fails at most
-        one request per dispatcher.
+        When the worker running the hop dies, the hop fails with
+        ``BrokenProcessPool`` (see :meth:`_replace`): a hop of several
+        requests then re-runs each request it still owes as a
+        one-request hop, one at a time, and a one-request hop fails.  So
+        a killer request runs at most twice, and a death fails at most
+        the one request that caused it.
         """
-        pool = self._pool
         requests = [t.request for t in live]
-        try:
-            task = self._put(pool, requests)
-        except BrokenExecutor:
-            # The pool broke while idle (an OOM kill, an operator's
-            # ``kill``), so submit refused the hop and nothing ran:
-            # replace the pool and put the hop on the new one, once.
-            self._replace_pool(pool)
-            pool = self._pool
-            task = self._put(pool, requests)
+        task = self._put(requests)
         self.metrics.hops += 1
 
         # Enforce mid-run deadlines per ticket, soonest first.  The hop is
@@ -619,22 +764,18 @@ class StreamGateway:
         try:
             raw = await task
         except Exception as exc:
-            # Infrastructure failure (e.g. BrokenProcessPool after a pool
-            # child is OOM-killed, pickling errors).  Every owed ticket
-            # MUST still resolve — an unresolved future deadlocks
-            # serve().  A dead pool is replaced once (identity-guarded)
-            # and counted once.  Execution is deterministic, so a
-            # coalesced hop's requests re-run alone on the new pool (a
-            # closing gateway builds none); the rest are FAILED, not
-            # completed: they produced no result, and mislabeling them
-            # would poison digests and percentiles.
+            # The hop's worker died running it, or the hop itself raised
+            # (thread backend).  Every owed ticket MUST still resolve — an
+            # unresolved future deadlocks serve().  Execution is
+            # deterministic, so a coalesced hop's requests re-run alone;
+            # the rest are FAILED, not completed: they produced no
+            # result, and mislabeling them would poison digests and
+            # percentiles.
             owed = [t for t in live if id(t) not in abandoned]
-            if isinstance(exc, BrokenExecutor):
-                self._replace_pool(pool)
-                if len(live) > 1 and not self._closed:
-                    for ticket in owed:
-                        await self._run_hop([ticket])
-                    return
+            if isinstance(exc, BrokenProcessPool) and len(live) > 1:
+                for ticket in owed:
+                    await self._run_hop([ticket])
+                return
             for ticket in owed:
                 self._resolve(ticket, RunSummary(
                     request=ticket.request,

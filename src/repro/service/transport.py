@@ -1,16 +1,16 @@
-"""Columnar envelopes for the gateway's process pool.
+"""Columnar envelopes for the gateway's worker processes.
 
-The executor boundary used to move one pickle per object: each
+The process boundary used to move one pickle per object: each
 :class:`~repro.core.engine.RunRequest` pickled into the ``submit()`` call,
 each :class:`~repro.core.engine.RunSummary` pickled back.  Per-object
 pickling is the dominant serialization cost of a saturated service — the
 payloads are tiny, the per-object protocol overhead is not.  This module
 replaces that path with *envelope buffers*: a whole hop of requests (or
 results) encoded as one flat columnar blob using the envelope column
-primitives of :mod:`repro.core.wire`.  A hop crosses the pool as one
-``bytes`` argument to :func:`run_envelope` and comes back as one
-``bytes`` result — one opaque byte-string pickle per direction instead of
-one object pickle per request and summary.
+primitives of :mod:`repro.core.wire`.  A hop goes down a worker's socket
+as one request envelope and comes back as one summary envelope, each
+preceded by its byte length (:data:`LENGTH`); :func:`serve_envelopes` is
+the worker's side of that socket.
 
 Wire format (``MAGIC = b"RENV"``)::
 
@@ -32,6 +32,8 @@ Two deliberate asymmetries keep the envelopes small and fast:
 
 from __future__ import annotations
 
+import signal
+import socket
 import struct
 from operator import attrgetter
 from typing import Callable, List, Optional, Sequence
@@ -62,12 +64,16 @@ __all__ = [
     "encode_summaries",
     "decode_summaries",
     "run_envelope",
+    "serve_envelopes",
 ]
 
 MAGIC = b"RENV"
 ENVELOPE_VERSION = 1
 _KIND_REQUESTS = 0
 _KIND_SUMMARIES = 1
+
+#: The byte length that precedes every envelope on a worker socket.
+LENGTH = struct.Struct("<I")
 
 
 # -- envelope codec ----------------------------------------------------------
@@ -242,9 +248,9 @@ def decode_summaries(
 
 # -- worker-side entry point -------------------------------------------------
 #
-# Runs inside pool workers.  The executor is imported lazily (the service
-# modules import this one at top level); the worker resolves it once and
-# caches it.
+# Runs inside worker processes.  The executor is imported lazily (the
+# service modules import this one at top level); the worker resolves it
+# once and caches it.
 
 _execute_request: Optional[Callable[[RunRequest], RunSummary]] = None
 
@@ -259,6 +265,28 @@ def _executor() -> Callable[[RunRequest], RunSummary]:
 
 
 def run_envelope(blob: bytes) -> bytes:
-    """Pool worker: request envelope bytes in, summary envelope bytes out."""
+    """Request envelope bytes in, summary envelope bytes out."""
     run = _executor()
     return encode_summaries([run(r) for r in decode_requests(blob)])
+
+
+def serve_envelopes(sock: socket.socket) -> None:
+    """Worker process: answer the request envelopes on ``sock``, in order.
+
+    A plain blocking loop: read one length-prefixed request envelope,
+    :func:`run_envelope` it, write the summary envelope back the same
+    way.  It returns when the gateway closes its end (or the socket
+    fails).  SIGINT is ignored: the gateway that started this process
+    decides when it ends, after draining.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    with sock, sock.makefile("rb") as rfile:
+        try:
+            while True:
+                head = rfile.read(LENGTH.size)
+                if len(head) < LENGTH.size:
+                    return
+                out = run_envelope(rfile.read(LENGTH.unpack(head)[0]))
+                sock.sendall(LENGTH.pack(len(out)) + out)
+        except OSError:
+            return

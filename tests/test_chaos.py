@@ -1,19 +1,21 @@
 """Chaos harness: fault transport, containment, recovery, digest parity.
 
 The harness's gates in test form: poison requests resolve as failed
-(never completed), a SIGKILLed pool worker breaks neither the gateway
-nor the batch service (pool replaced, judged summaries still reported),
-the digests over surviving runs stay byte-identical to a sequential
-re-execution, and a report names exactly the four gates.  Plus the one
-recovery policy: a dead pool is replaced once, a coalesced hop on it
-re-runs its requests one at a time while a one-request hop on it fails,
-and a hop refused at submit is replayed once on the new pool.
+(never completed), a SIGKILLed worker process breaks neither the gateway
+nor the batch service (worker replaced, judged summaries still
+reported), the digests over surviving runs stay byte-identical to a
+sequential re-execution, and a report names exactly the four gates.
+Plus the one recovery policy: only the dead worker is replaced, the hop
+it was running re-runs its requests one at a time when it had several
+and fails when it had one, hops queued behind it in its socket are
+resent whole, and no other worker's hop is touched.
 """
 
 import asyncio
 import os
 import signal
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -34,6 +36,7 @@ from repro.service import (
     serve,
     summaries_digest,
 )
+from repro.service import stream as stream_mod
 from repro.service.__main__ import main
 
 SMALL_SIZES = dict(
@@ -216,10 +219,10 @@ def test_single_kill_request_batch_counts_its_replacement():
 
 def test_mid_batch_kill_replaces_pool_exactly_once():
     """One kill in a 40-request batch: the batch returns instead of
-    raising, and the killer breaks two pools, once inside its coalesced
-    hop and once re-run alone.  Each dead pool is replaced once, at most
-    one request per worker fails, and the resolved runs match a
-    sequential re-run."""
+    raising, and the killer kills two workers, once inside its coalesced
+    hop and once re-run alone.  Each dead worker is replaced once, only
+    the killer fails, and the resolved runs match a sequential
+    re-run."""
     workers = 2
     requests = _requests(40, seed0=61)
     requests[17] = inject(requests[17], "kill")
@@ -227,7 +230,7 @@ def test_mid_batch_kill_replaces_pool_exactly_once():
     assert len(report.summaries) == len(requests)
     assert report.summaries[17].status == STATUS_FAILED
     assert report.pool_replacements == 2
-    assert 1 <= len(report.unresolved) <= workers
+    assert len(report.unresolved) == 1
     resolved = [s for s in report.summaries if s.resolved]
     baseline = BatchService(workers=0).run_batch(
         [s.request for s in resolved]
@@ -268,22 +271,26 @@ def test_killer_in_a_coalesced_hop_fails_alone():
 
 
 def test_idle_worker_death_is_replaced_at_submit():
-    """A pool whose only worker died while idle refuses the next submit
-    with ``BrokenExecutor``.  Nothing ran, so the gateway replaces the
-    pool and puts the hop on the new one."""
+    """A worker that dies while idle is replaced as soon as its socket
+    closes, before anything is sent to it, so the next submits run on
+    the replacement."""
     requests = _requests(6, seed0=81)
 
     async def main():
         gateway = StreamGateway(workers=1, backend="process", policy="block")
         async with gateway:
             first = await (await gateway.submit(requests[0]))
-            pool = gateway._pool
-            (pid,) = pool._processes
-            os.kill(pid, signal.SIGKILL)
+            (worker,) = gateway._workers
+            os.kill(worker.process.pid, signal.SIGKILL)
             give_up = time.monotonic() + 30
-            while not pool._broken and time.monotonic() < give_up:
+            while (
+                gateway.metrics.pool_replacements < 1
+                and time.monotonic() < give_up
+            ):
                 await asyncio.sleep(0.01)
-            assert pool._broken, "the pool never noticed its dead worker"
+            assert gateway.metrics.pool_replacements == 1, (
+                "the gateway never noticed its dead worker"
+            )
             futures = [await gateway.submit(r) for r in requests[1:]]
             rest = [await f for f in futures]
         return first, rest, gateway.metrics.pool_replacements
@@ -294,6 +301,158 @@ def test_idle_worker_death_is_replaced_at_submit():
     assert first.status == STATUS_COMPLETED
     assert [s.status for s in rest] == [STATUS_COMPLETED] * 5
     assert replacements == 1
+
+
+# -- per-worker recovery: one socket per worker process ----------------------
+
+
+async def _until(predicate, timeout=30.0):
+    give_up = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < give_up, "condition never held"
+        await asyncio.sleep(0.005)
+
+
+def _sequential_digests(requests):
+    report = BatchService(workers=0).run_batch(requests)
+    assert report.ok
+    return [s.digest for s in report.summaries]
+
+
+def test_kill_spares_the_hop_on_the_other_worker():
+    """Two workers, a straggler and a killer dispatched together: each
+    goes to its own worker, the kill replaces only the killer's, and the
+    straggler completes with its sequential digest."""
+    slow, killer = _requests(2, seed0=91)
+
+    async def main():
+        gateway = StreamGateway(workers=2, backend="process", policy="block")
+        async with gateway:
+            futures = [
+                await gateway.submit(inject(slow, "slow:300")),
+                await gateway.submit(inject(killer, "kill")),
+            ]
+            summaries = [await f for f in futures]
+        return summaries, gateway.metrics
+
+    (slowed, killed), metrics = asyncio.run(
+        asyncio.wait_for(main(), timeout=120)
+    )
+    assert killed.status == STATUS_FAILED
+    assert "executor failure: BrokenProcessPool" in killed.error
+    assert slowed.status == STATUS_COMPLETED and slowed.ok
+    assert [slowed.digest] == _sequential_digests([slow])
+    assert metrics.failed == 1
+    assert metrics.pool_replacements == 1
+    assert metrics.hops == 2
+
+
+def test_hop_queued_behind_a_killer_is_resent_whole(monkeypatch):
+    """One worker, two hops in its socket: the first holds a straggler
+    and a killer, the second three requests sent while the straggler
+    runs.  The kill fails the first hop, which re-runs its two requests
+    alone; the second was never started, so it is resent whole to the
+    replacement: neither failed nor split."""
+    hops = []
+    real = stream_mod.encode_requests
+
+    def counting(requests):
+        hops.append(len(requests))
+        return real(requests)
+
+    monkeypatch.setattr(stream_mod, "encode_requests", counting)
+    slow, killer, *behind = _requests(5, seed0=101)
+
+    async def main():
+        gateway = StreamGateway(workers=1, backend="process", policy="block")
+        async with gateway:
+            # No yield between the two submits: one hop of two.
+            first = [
+                await gateway.submit(inject(slow, "slow:300")),
+                await gateway.submit(inject(killer, "kill")),
+            ]
+            await _until(lambda: gateway.metrics.hops == 1)
+            second = [await gateway.submit(r) for r in behind]
+            await _until(lambda: gateway.metrics.hops == 2)
+            assert gateway.metrics.pool_replacements == 0  # still slow
+            summaries = [await f for f in first + second]
+        return summaries, gateway.metrics
+
+    summaries, metrics = asyncio.run(asyncio.wait_for(main(), timeout=120))
+    slowed, killed, *resent = summaries
+    assert hops == [2, 3, 1, 1]
+    assert killed.status == STATUS_FAILED
+    assert slowed.status == STATUS_COMPLETED
+    assert [s.status for s in resent] == [STATUS_COMPLETED] * 3
+    assert [s.digest for s in resent] == _sequential_digests(behind)
+    assert metrics.failed == 1
+    assert metrics.pool_replacements == 2  # the hop of two, then alone
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("kill_one", [False, True])
+def test_close_reaps_every_worker(kill_one):
+    """After ``close()`` no worker process is left, replacements and
+    the dead one included."""
+    requests = _requests(4, seed0=111)
+
+    async def main():
+        gateway = StreamGateway(workers=2, backend="process", policy="block")
+        pids = []
+        async with gateway:
+            pids += [w.process.pid for w in gateway._workers]
+            if kill_one:
+                os.kill(pids[0], signal.SIGKILL)
+                await _until(lambda: gateway.metrics.pool_replacements == 1)
+                pids += [w.process.pid for w in gateway._workers]
+            futures = [await gateway.submit(r) for r in requests]
+            summaries = [await f for f in futures]
+        return pids, summaries
+
+    pids, summaries = asyncio.run(asyncio.wait_for(main(), timeout=120))
+    assert all(s.status == STATUS_COMPLETED for s in summaries)
+    assert len(set(pids)) == (3 if kill_one else 2)
+    assert [pid for pid in pids if _alive(pid)] == []
+
+
+def test_envelope_larger_than_the_socket_buffer_does_not_stall():
+    """A hop of 1 MiB waits in the socket of a worker busy with a
+    straggler; meanwhile the other worker's hops still complete, so
+    the write never blocked the event loop."""
+    slow_a, slow_b, big, small = _requests(4, seed0=121)
+    big = replace(big, tag="x" * (1 << 20))
+
+    async def main():
+        gateway = StreamGateway(workers=2, backend="process", policy="block")
+        async with gateway:
+            busy = await gateway.submit(inject(slow_a, "slow:600"))
+            await _until(lambda: gateway.metrics.hops == 1)
+            short = await gateway.submit(inject(slow_b, "slow:50"))
+            await _until(lambda: gateway.metrics.hops == 2)
+            # Both workers have one hop each: the tie goes to the first,
+            # whose straggler keeps the envelope in its socket.
+            stuck = await gateway.submit(big)
+            await _until(lambda: gateway.metrics.hops == 3)
+            quick = await gateway.submit(small)
+            done, _ = await asyncio.wait(
+                {quick, busy}, return_when=asyncio.FIRST_COMPLETED
+            )
+            assert done == {quick}, "the big envelope stalled the loop"
+            summaries = [await f for f in (busy, short, stuck, quick)]
+        return summaries
+
+    summaries = asyncio.run(asyncio.wait_for(main(), timeout=120))
+    assert all(s.status == STATUS_COMPLETED for s in summaries)
+    assert [summaries[2].digest, summaries[3].digest] == (
+        _sequential_digests([big, small])
+    )
 
 
 # -- CLI ----------------------------------------------------------------------

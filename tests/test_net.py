@@ -674,6 +674,41 @@ def test_serve_stops_on_sigint_inherited_as_ignored():
             proc.kill()
 
 
+def test_process_serve_stops_on_sigint_and_leaves_no_worker():
+    """``serve --backend process`` started like ``serve &`` drains on
+    SIGINT, exits 0, and reaps its worker processes first."""
+    if not Path(f"/proc/self/task/{os.getpid()}/children").exists():
+        pytest.skip("needs /proc/<pid>/task/<tid>/children")
+    with subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.service", "serve",
+            "--port", "0", "--workers", "2", "--backend", "process",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+    ) as proc:
+        try:
+            with selectors.DefaultSelector() as sel:
+                sel.register(proc.stdout, selectors.EVENT_READ)
+                assert sel.select(30), "serve printed no address in time"
+            assert "serving on" in proc.stdout.readline()
+            listing = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+            workers = [int(pid) for pid in listing.read_text().split()]
+            assert len(workers) == 2
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=20)
+            assert proc.returncode == 0
+            assert "shutting down" in err
+        finally:
+            proc.kill()
+    for pid in workers:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
 def test_remote_selfcheck_mix_covers_the_full_taxonomy():
     """The selfcheck differential's value is coverage: its mix must name
     every family the scenario taxonomy registers."""

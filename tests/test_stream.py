@@ -247,6 +247,37 @@ def test_gateway_default_deadline_applies_to_unset_requests(sleepy_algorithm):
     assert "deadline" in second.error
 
 
+def test_two_queued_requests_split_over_two_idle_workers(monkeypatch):
+    """Guided self-scheduling over ``workers``: a hop takes
+    ``ceil((depth + 1) / workers)`` requests in all, so two requests
+    queued together on an idle 2-worker gateway run as two one-request
+    hops, one per worker, instead of one hop of two while the other
+    worker idles."""
+    hops = []
+    real = stream_mod._run_tickets
+
+    def counting(requests):
+        hops.append(len(requests))
+        return real(requests)
+
+    monkeypatch.setattr(stream_mod, "_run_tickets", counting)
+    requests = _requests(2)
+
+    async def main():
+        gateway = StreamGateway(workers=2, backend="thread", policy="block")
+        async with gateway:
+            # No yield between the submits: both are queued before either
+            # dispatcher runs.
+            futures = [await gateway.submit(r) for r in requests]
+            summaries = [await f for f in futures]
+        return summaries, gateway.metrics
+
+    summaries, metrics = asyncio.run(asyncio.wait_for(main(), timeout=30))
+    assert all(s.status == STATUS_COMPLETED for s in summaries)
+    assert metrics.hops == 2
+    assert hops == [1, 1]
+
+
 def test_coalesced_hop_enforces_per_ticket_deadlines(monkeypatch):
     """A coalesced hop keeps per-request deadlines: a straggler in the
     hop costs only the batch-mate whose own budget runs out, and the
@@ -323,6 +354,22 @@ def test_start_spawns_one_dispatcher_per_worker():
             )
 
     assert asyncio.run(main()) == [f"stream-worker-{i}" for i in range(3)]
+
+
+def test_process_backend_runs_two_dispatchers_per_worker():
+    """Two hops deep: each worker process has two dispatchers feeding
+    its socket, so it finds its next hop there when it finishes one."""
+    async def main():
+        async with StreamGateway(workers=2, backend="process") as gateway:
+            names = sorted(
+                t.get_name() for t in asyncio.all_tasks()
+                if t.get_name().startswith("stream-worker-")
+            )
+            return names, len(gateway._workers)
+
+    names, workers = asyncio.run(asyncio.wait_for(main(), timeout=60))
+    assert names == [f"stream-worker-{i}" for i in range(4)]
+    assert workers == 2
 
 
 def test_submit_after_close_raises():
