@@ -41,7 +41,10 @@ class SharedCache:
         self.misses = 0
 
     def compute(self, key: Hashable, fn: Callable[[], Any]) -> Any:
-        if key in self._store:
+        # One lookup per call: keys embed whole demand matrices, so each
+        # hash and each equality check walks O(n^2) words.
+        stored = self._store.get(key, _MISSING)
+        if stored is not _MISSING:
             self.hits += 1
             if self.verify_mode:
                 # The recompute must be genuine: shared computations may
@@ -53,12 +56,12 @@ class SharedCache:
                 # one; see :meth:`PlanCache.bypassed`.
                 with _GLOBAL_PLAN_CACHE.bypassed():
                     fresh = fn()
-                if fresh != self._store[key]:
+                if fresh != stored:
                     raise ProtocolError(
                         f"shared computation for key {key!r} is not "
                         "deterministic: nodes would disagree"
                     )
-            return self._store[key]
+            return stored
         self.misses += 1
         value = fn()
         self._store[key] = value

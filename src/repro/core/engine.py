@@ -388,7 +388,7 @@ class ReferenceEngine(ExecutionEngine):
 
 
 class FastEngine(ExecutionEngine):
-    """Throughput-oriented loop: live-set, lazy mailboxes, sampled audits.
+    """Throughput-oriented loop: live list, sampled audits.
 
     Args:
         validation: ``"sampled"`` (default) audits every ``sample_stride``-th
@@ -403,8 +403,8 @@ class FastEngine(ExecutionEngine):
     The differences are purely in overhead:
 
     * nodes that finished are dropped from the live list instead of being
-      re-inspected every round;
-    * inbox dicts exist only for nodes that receive traffic this round;
+      re-inspected every round, and only live nodes get a mailbox (so a
+      packet for a finished node misses its mailbox and raises);
     * traffic statistics accumulate in local counters and are committed once
       per round;
     * the polynomial word bound ``max(n, 2)**k`` is computed once per run
@@ -440,18 +440,19 @@ class FastEngine(ExecutionEngine):
             program_factory, self._coerce_fast
         )
         live = [i for i in range(n) if not done[i]]
-        live_set = set(live)
 
         capacity = net.capacity
         max_rounds = net.max_rounds
         validation = self.validation if net.validate else "off"
-        audit_all = validation == "full"
-        audit_some = validation == "sampled"
-        stride = self.sample_stride
+        # Packets until the next audit: every packet under "full", every
+        # ``stride``-th under "sampled" (the first included), none under
+        # "off" (the countdown starts below zero and never reaches it).
+        stride = 1 if validation == "full" else self.sample_stride
+        until_audit = -1 if validation == "off" else 0
         bound = word_bound(n)
         per_round = stats.per_round
-        seen = 0  # packets inspected so far, drives the sampling stride
         audit_words = validate_words
+        coerce = self._coerce_fast
 
         while live:
             rounds = stats.rounds
@@ -464,19 +465,22 @@ class FastEngine(ExecutionEngine):
                 span.rounds += 1
 
             # One fused pass over the wire representation: flat payload
-            # tuples bucketed into lazily-created mailboxes (delivery moves
-            # references, never copies), with the hoisted-bound audit run
-            # inline on selected packets.  Destination typing is checked
-            # exactly per packet: a float like 1.0 hashes equal to a live
-            # node id, so set membership alone would silently deliver it.
+            # tuples bucketed into this round's mailboxes, one per live
+            # node (delivery moves references, never copies), with the
+            # hoisted-bound audit run inline on selected packets.  A
+            # packet for a node without a mailbox (finished, or not a node
+            # id) raises.  Destination typing is checked exactly per
+            # packet: a float like 1.0 hashes equal to a live node id, so
+            # the mailbox lookup alone would silently deliver it.
             packets = 0
             words = 0
             max_edge = 0
-            inboxes: Dict[int, Dict[int, Packet]] = {}
+            inboxes: Dict[int, Dict[int, Packet]] = {i: {} for i in live}
             for src in live:
                 outbox = pending[src]
                 if not outbox:
                     continue
+                packets += len(outbox)
                 for dst, pkt in outbox.items():
                     if dst.__class__ is not int and not isinstance(dst, int):
                         raise ModelViolation(
@@ -488,7 +492,7 @@ class FastEngine(ExecutionEngine):
                     except AttributeError:
                         pkt = self._coerce_packet(pkt, src, dst)
                         payload = pkt.words
-                    if audit_all or (audit_some and seen % stride == 0):
+                    if not until_audit:
                         if (
                             pkt.__class__ is not Packet
                             and not isinstance(pkt, Packet)
@@ -498,15 +502,13 @@ class FastEngine(ExecutionEngine):
                                 f"{dst}"
                             )
                         audit_words(pkt, payload, n, capacity, bound)
-                    seen += 1
-                    box = inboxes.get(dst)
-                    if box is None:
-                        if dst not in live_set:
-                            self._bad_destination(src, dst, n, rounds)
-                        box = inboxes[dst] = {}
-                    box[src] = pkt
+                        until_audit = stride
+                    until_audit -= 1
+                    try:
+                        inboxes[dst][src] = pkt
+                    except KeyError:
+                        self._bad_destination(src, dst, n, rounds)
                     n_words = len(payload)
-                    packets += 1
                     words += n_words
                     if n_words > max_edge:
                         max_edge = n_words
@@ -519,22 +521,23 @@ class FastEngine(ExecutionEngine):
             # Deliver inboxes; collect next outboxes.  Ascending order over
             # the live list mirrors the reference engine's 0..n-1 sweep.
             any_finished = False
-            coerce = self._coerce_fast
             for i in live:
                 try:
-                    raw = gens[i].send(inboxes.get(i) or {})
+                    raw = gens[i].send(inboxes[i])
                 except StopIteration as stop:
                     outputs[i] = stop.value
                     gens[i] = None
                     pending[i] = _EMPTY_OUTBOX
                     any_finished = True
                 else:
-                    # The copy in coerce() (snapshot-at-yield) is load-bearing:
-                    # see _coerce_fast.
-                    pending[i] = coerce(raw, i, n)
+                    # The copy (snapshot-at-yield) is load-bearing: see
+                    # _coerce_fast.
+                    pending[i] = (
+                        dict(raw) if raw.__class__ is dict
+                        else coerce(raw, i, n)
+                    )
             if any_finished:
                 live = [i for i in live if gens[i] is not None]
-                live_set = set(live)
 
         return state.finish(outputs, net, self.name)
 
@@ -562,13 +565,15 @@ class FastEngine(ExecutionEngine):
 
     @staticmethod
     def _bad_destination(src: int, dst: Any, n: int, rounds: int) -> None:
+        # Raised while handling the mailbox lookup's KeyError, which is an
+        # implementation detail: suppress it as the context.
         if isinstance(dst, int) and 0 <= dst < n:
             raise ProtocolError(
                 f"packet delivered to finished node {dst} in round {rounds}"
-            )
+            ) from None
         raise ModelViolation(
             f"node {src} addressed invalid destination {dst!r}"
-        )
+        ) from None
 
 
 #: Shared immutable placeholder for the pending outbox of a finished node.

@@ -32,9 +32,12 @@ DEFAULT_CAPACITY = 8
 POLY_BOUND_EXPONENT = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Packet:
     """An immutable message: a tuple of integer words.
+
+    Slotted: a packet is one words reference and carries no instance dict
+    (the simulator allocates one per edge per round).
 
     Attributes:
         words: the payload words, most-significant semantics first.  The

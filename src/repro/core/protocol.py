@@ -38,18 +38,13 @@ def attach_piggyback(outbox: Outbox, word: int, n: int) -> Outbox:
     payload is built with one tuple concatenation and materialized through
     :func:`~repro.core.wire.fast_packet`; all otherwise-unused edges share
     one broadcast-only packet object (packets are immutable, and the engines
-    deliver by reference).
+    deliver by reference).  The result lists destinations ``0..n-1`` in
+    order; an outbox key outside them, or a ``None`` packet, is ignored.
     """
-    out: Outbox = {}
     tail = (word,)
-    filler: Packet = None  # type: ignore[assignment]
-    for dst in range(n):
-        pkt = outbox.get(dst)
-        if pkt is None:
-            if filler is None:
-                filler = fast_packet(tail)
-            out[dst] = filler
-        else:
+    out: Outbox = dict.fromkeys(range(n), fast_packet(tail))
+    for dst, pkt in outbox.items():
+        if pkt is not None and dst in out:
             out[dst] = fast_packet(pkt.words + tail)
     return out
 

@@ -94,7 +94,9 @@ __all__ = [
 ]
 
 _new_packet = Packet.__new__
-_set_attr = object.__setattr__
+#: The ``words`` slot's own setter: stores without the frozen
+#: ``__setattr__`` guard or an attribute lookup by name.
+_set_words = Packet.words.__set__  # type: ignore[attr-defined]
 
 
 def fast_packet(words: Tuple[int, ...]) -> Packet:
@@ -106,7 +108,7 @@ def fast_packet(words: Tuple[int, ...]) -> Packet:
     tuple of ints — callers on the hot path guarantee this structurally.
     """
     pkt = _new_packet(Packet)
-    _set_attr(pkt, "words", words)
+    _set_words(pkt, words)
     return pkt
 
 
@@ -305,33 +307,26 @@ def regroup_segments(
         words = pkt.words
         if not words:
             continue
-        if seg is None:
-            dest = words[0]
-            single_dest: Optional[int] = dest
+        dest = words[0]
+        size = len(words)
+        # One segment, or several naming one destination: forwardable whole.
+        if seg is None or size == seg:
+            single = True
         else:
-            if len(words) % seg != 0:
-                raise bad_segment_width(len(words), seg)
-            dest = words[0]
-            single_dest = dest
-            for i in range(seg, len(words), seg):
-                if words[i] != dest:
-                    single_dest = None
-                    break
-        if (
-            single_dest is not None
-            and single_dest not in whole
-            and single_dest not in parts
-        ):
-            whole[single_dest] = pkt  # forward the packet by reference
+            if size % seg != 0:
+                raise bad_segment_width(size, seg)
+            single = words[::seg].count(dest) == size // seg
+        if single and dest not in whole and dest not in parts:
+            whole[dest] = pkt  # forward the packet by reference
             continue
         # Slow path: merge into the destination's word accumulator (pulling
         # in any previously whole-forwarded packet for the same dest).
         if seg is None:
-            segments = [(words[0], words)]
+            segments = [(dest, words)]
         else:
             segments = [
                 (words[i], words[i : i + seg])
-                for i in range(0, len(words), seg)
+                for i in range(0, size, seg)
             ]
         for dest, seg_words in segments:
             acc = parts.get(dest)

@@ -3,9 +3,9 @@
 ``repro.devtools.lint`` is an AST-level checker whose rules encode this
 repository's *own* bug history — every invariant a past PR paid for at
 runtime (the PR-3 ``PlanCache.enabled`` flip, the PR-3 FastEngine outbox
-aliasing, the PR-6 put-after-close race, the PR-7 shm resource-tracker
-discipline) is machine-checked here before the chaos harness ever has to
-catch it live.  See DESIGN.md section 11 for the rule-by-rule rationale.
+aliasing, the PR-6 put-after-close race, the PR-7 frozen-dataclass
+decode discipline) is machine-checked here before the chaos harness ever
+has to catch it live.  See DESIGN.md section 11 for the rule-by-rule rationale.
 
 Run it::
 

@@ -398,89 +398,6 @@ class PutWithoutCloseRecheck(Rule):
         return False
 
 
-# -- RPR005: shared-memory resource-tracker discipline -----------------------
-
-
-def _is_shm_constructor(node: ast.Call) -> bool:
-    func = node.func
-    if isinstance(func, ast.Attribute) and func.attr == "SharedMemory":
-        return True
-    return isinstance(func, ast.Name) and func.id == "SharedMemory"
-
-
-def _patches_register(func: ast.AST) -> bool:
-    for node in ast.walk(func):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and target.attr == "register"
-                    and "tracker" in _call_name(target.value)
-                ):
-                    return True
-    return False
-
-
-@register_rule
-class ShmTrackerDiscipline(Rule):
-    id = "RPR005"
-    name = "shm-tracker-discipline"
-    description = (
-        "multiprocessing.shared_memory attach/close/unlink must follow the "
-        "PR-7 tracker discipline: never call resource_tracker.unregister, "
-        "and suppress the attach-side register (bpo-39959) when attaching "
-        "to a parent-owned segment."
-    )
-    rationale = (
-        "PR 7: a worker-side unregister stripped the parent's own "
-        "registration under fork; the parent's later unlink() then "
-        "double-unregistered and the tracker logged a KeyError."
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        # (a) any resource_tracker.unregister call is the historical bug.
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
-                func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr == "unregister"
-                    and "tracker" in _call_name(func.value)
-                ):
-                    found = ctx.finding(
-                        self.id,
-                        node,
-                        "resource_tracker.unregister() strips the parent's "
-                        "registration under fork (double-unregister on "
-                        "unlink); suppress the attach-side register instead "
-                        "[PR-7 bpo-39959 discipline]",
-                    )
-                    if found:
-                        yield found
-        # (b) attach-mode SharedMemory(name=...) outside a register-patch.
-        for func in _functions(ctx.tree):
-            patched = _patches_register(func)
-            for node in _doc_order(func):
-                if isinstance(node, FunctionLike) and node is not func:
-                    continue
-                if not (isinstance(node, ast.Call) and _is_shm_constructor(node)):
-                    continue
-                kwargs = {k.arg for k in node.keywords if k.arg}
-                if "create" in kwargs or not kwargs & {"name"}:
-                    continue  # creation side, or positional-only: not attach
-                if not patched:
-                    found = ctx.finding(
-                        self.id,
-                        node,
-                        "attaching to a shared-memory segment without "
-                        "suppressing resource_tracker.register: the tracker "
-                        "would adopt (and later unlink) the parent's segment "
-                        "[PR-7 bpo-39959 discipline]",
-                    )
-                    if found:
-                        yield found
-
-
 # -- RPR006: broad except that swallows the failure --------------------------
 
 
@@ -742,7 +659,6 @@ STABLE_RULE_IDS: Tuple[str, ...] = (
     "RPR002",
     "RPR003",
     "RPR004",
-    "RPR005",
     "RPR006",
     "RPR007",
     "RPR008",

@@ -26,7 +26,7 @@ agree on the schedule without communication.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, cast
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import ColoringError
 from .matching import hopcroft_karp
@@ -120,7 +120,7 @@ def peel_matchings(matrix: Matrix) -> List[Tuple[List[int], int]]:
             raise ColoringError(
                 "no perfect matching in the support (matrix not regular?)"
             )
-        perfect = cast(List[int], match)
+        perfect: List[int] = match  # type: ignore[assignment]  # no None
         k = min(rest[u][v] for u, v in enumerate(perfect))
         peeled.append((perfect, k))
         for u, v in enumerate(perfect):

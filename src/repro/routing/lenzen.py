@@ -96,36 +96,46 @@ def _send_bundled(
     width: int,
     capacity: int,
 ) -> Dict[int, Packet]:
-    """Build one packet per destination from fixed-width message segments."""
+    """Build one packet per destination from fixed-width message segments.
+
+    A destination with one segment sends that segment's tuple itself.
+    """
     outbox: Dict[int, Packet] = {}
     for dest, segs in assignments.items():
-        words: List[int] = []
+        words: Tuple[int, ...] = ()
         for seg in segs:
             if len(seg) != width:
                 raise ProtocolError(
                     f"segment width {len(seg)} != declared {width}"
                 )
-            words.extend(seg)
+            words += tuple(seg)
         if len(words) > capacity:
             raise ModelViolation(
                 f"bundled packet of {len(words)} words exceeds capacity "
                 f"{capacity}"
             )
-        outbox[dest] = fast_packet(tuple(words))
+        outbox[dest] = fast_packet(words)
     return outbox
 
 
 def _recv_bundled(inbox: Dict[int, Packet], width: int) -> List[Tuple[int, ...]]:
-    """Parse fixed-width segments out of every received packet."""
+    """Parse fixed-width segments out of every received packet.
+
+    A one-segment packet passes its words tuple through uncopied.
+    """
     out: List[Tuple[int, ...]] = []
     for src in sorted(inbox):
         words = inbox[src].words
-        if len(words) % width != 0:
+        size = len(words)
+        if size == width:
+            out.append(words)
+            continue
+        if size % width != 0:
             raise ProtocolError(
-                f"packet of {len(words)} words not a multiple of {width}"
+                f"packet of {size} words not a multiple of {width}"
             )
-        for i in range(0, len(words), width):
-            out.append(tuple(words[i : i + width]))
+        for i in range(0, size, width):
+            out.append(words[i : i + width])
     return out
 
 
@@ -174,42 +184,69 @@ def lenzen_wire_program(
 ) -> Callable[[NodeContext], Generator]:
     """Algorithms 1+2 over pre-encoded wire messages (square ``n`` only).
 
-    This is the layer the Theorem 3.7 overlay and the sorting algorithms
-    drive directly: headers are already packed with
-    ``header_base(n, load_bound)`` and node ids are already in this
-    instance's (possibly virtual) ``0..n-1`` space.
+    This is the layer the Theorem 3.7 overlay and the corollaries drive
+    directly: headers are already packed with ``header_base(n,
+    load_bound)`` and node ids are already in this instance's (possibly
+    virtual) ``0..n-1`` space.  Each node returns its delivered messages
+    as :class:`Message` objects in the paper's global order; see
+    :func:`lenzen_wire_route` for the wire tuples themselves.
+    """
+    route = lenzen_wire_route(n, wire_messages, load_bound, strict)
+    base = header_base(n, load_bound)
+
+    def program(ctx: NodeContext) -> Generator:
+        delivered = yield from route(ctx)
+        final = []
+        for h, payload in delivered:  # unpack_triple, inlined
+            source_dest, seq = divmod(h, base)
+            source, dest = divmod(source_dest, base)
+            final.append(Message(source, dest, seq, payload))
+        return final
+
+    return program
+
+
+def lenzen_wire_route(
+    n: int,
+    wire_messages: List[List[WireMsg]],
+    load_bound: int,
+    strict: bool = False,
+) -> Callable[[NodeContext], Generator]:
+    """The Algorithms 1+2 schedule of :func:`lenzen_wire_program`.
+
+    Each node returns its delivered ``(header, payload)`` wire messages,
+    sorted.  Headers are unique and ordered like ``(source, dest, seq)``,
+    so that is the paper's global message order.  Algorithm 4 reads only
+    the payloads and builds no :class:`Message`.
     """
     part = square_partition(n)
     s = part.group_size
     groups: Tuple[Tuple[int, ...], ...] = square_groups(n)
-    hbase = header_base(n, load_bound)
-    codec = header_codec(hbase)
+    codec = header_codec(header_base(n, load_bound))
+    # A header's destination is ``h // base % base`` (``codec.dest_of``)
+    # and its destination group that divided by ``s``; both are inlined
+    # in the per-message loops below.
+    base = codec.base
     lanes = -(-load_bound // n)  # ceil: segments bundled per packet
 
     def program(ctx: NodeContext) -> Generator:
         me = ctx.node_id
         g = part.group_of(me)
         r = part.rank_in_group(me)
+        members = groups[g]
         held: List[WireMsg] = sorted(wire_messages[me])
         ctx.observe_live_words(2 * len(held))
-
-        codec_dest = codec.dest_of
-
-        def dest_of(w: Sequence[int]) -> int:
-            return codec_dest(w[0])
-
-        def dgroup(w: Sequence[int]) -> int:
-            return codec_dest(w[0]) // s
 
         # ---------------- Algorithm 2 (Alg. 1 Step 2): 7 rounds -----------
         # Step 1a: tell rank-i member of my group my count for dest group i.
         ctx.enter_phase("alg2.step1")
         my_counts = [0] * s
-        for w in held:
-            my_counts[dgroup(w)] += 1
+        for h, _ in held:
+            my_counts[h // base % base // s] += 1
         ctx.charge(len(held) + s)
         outbox = {
-            part.member(g, i): Packet((my_counts[i],)) for i in range(s)
+            member: fast_packet((count,))
+            for member, count in zip(members, my_counts)
         }
         inbox = yield outbox
         # Step 1b: sum what I received (total my group sends to group r) and
@@ -220,8 +257,7 @@ def lenzen_wire_program(
         # totals[src_group][dest_group], announced by rank dest_group of
         # src_group.
         totals = tuple(
-            tuple(totals_flat[part.member(sg, dg)] for dg in range(s))
-            for sg in range(s)
+            tuple(totals_flat[sg * s : sg * s + s]) for sg in range(s)
         )
         if strict and sum(sum(row) for row in totals) != n * n:
             raise ProtocolError("Alg2 Step 1: totals do not sum to n^2")
@@ -241,17 +277,17 @@ def lenzen_wire_program(
         counts_mat = yield from announce_within_group(
             ctx, groups, g, r, my_counts, ("a2s3", totals)
         )
-
-        def offsets_for(member_rank: int, j: int) -> int:
-            return sum(counts_mat[a][j] for a in range(member_rank))
-
-        my_color: Dict[WireMsg, int] = {}
-        seq_per_group = [0] * s
-        for w in held:  # held is sorted => canonical per-pair order
-            j = dgroup(w)
-            idx = offsets_for(r, j) + seq_per_group[j]
-            seq_per_group[j] += 1
-            my_color[w] = step2_colors[(g, j)][idx]
+        # My messages for dest group j take the Step-2 colors of the group
+        # pair (g, j) after those of lower-ranked members.
+        next_idx = [
+            sum(counts_mat[a][j] for a in range(r)) for j in range(s)
+        ]
+        my_colors: List[int] = []
+        for h, _ in held:  # held is sorted => canonical per-pair order
+            j = h // base % base // s
+            idx = next_idx[j]
+            next_idx[j] = idx + 1
+            my_colors.append(step2_colors[(g, j)][idx])
         ctx.charge(len(held) + s * s)
 
         # Step 4 (local): pattern for the intra-group shuffle that makes the
@@ -281,23 +317,24 @@ def lenzen_wire_program(
                 lambda: _mod_s_demand(step4_colors, s),
             ),
         )
-        by_igroup: Dict[int, List[WireMsg]] = {}
-        for w in held:
-            by_igroup.setdefault(my_color[w] % s, []).append(w)
+        # Each message carries its Step-2 color so the new holder knows j.
+        by_igroup: List[List[Tuple[int, ...]]] = [[] for _ in range(s)]
+        for (h, payload), color in zip(held, my_colors):
+            by_igroup[color % s].append((h, payload, color))
         items: List[Tuple[int, Tuple[int, ...]]] = []
-        for j, msgs in sorted(by_igroup.items()):
+        for j, msgs in enumerate(by_igroup):
+            if not msgs:
+                continue
             pal = step4_colors[(r, j)]
             if len(pal) != len(msgs):
                 raise ProtocolError("Alg2 Step 4: demand/coloring mismatch")
-            for w, color4 in zip(msgs, pal):
-                target_rank = color4 % s
-                # carry the Step-2 color so the new holder knows j.
-                items.append((target_rank, (w[0], w[1], my_color[w])))
+            for item, color4 in zip(msgs, pal):
+                items.append((color4 % s, item))
         ctx.charge(len(held))
 
         # Step 5: execute the intra-group shuffle (2 rounds, Cor. 3.3).
         ctx.enter_phase("alg2.step5")
-        received = yield from route_known(
+        held3 = yield from route_known(
             ctx,
             groups,
             g,
@@ -307,17 +344,14 @@ def lenzen_wire_program(
             ("a2s5", totals, g),
             item_width=3,
         )
-        held3 = [tuple(it) for it in received]
         ctx.observe_live_words(3 * len(held3))
 
         # Invariant (paper, end of Step 4 argument): in the exact case each
         # node now holds exactly sqrt(n) messages per intermediate group.
-        per_igroup: Dict[int, List[Tuple[int, ...]]] = {
-            j: [] for j in range(s)
-        }
+        per_igroup: List[List[Tuple[int, ...]]] = [[] for _ in range(s)]
         for it in held3:
             per_igroup[it[2] % s].append(it)
-        for j, msgs in per_igroup.items():
+        for j, msgs in enumerate(per_igroup):
             if strict and len(msgs) != s:
                 raise ProtocolError(
                     f"Alg2 Step 5 invariant: node holds {len(msgs)} messages "
@@ -334,16 +368,16 @@ def lenzen_wire_program(
         # relaxed loads up to `lanes` two-word segments share a packet.
         ctx.enter_phase("alg2.step6")
         assignments: Dict[int, List[Tuple[int, ...]]] = {}
-        for j in range(s):
-            for k, it in enumerate(sorted(per_igroup[j])):
-                dest_node = part.member(j, k % s)
-                assignments.setdefault(dest_node, []).append(
-                    (it[0], it[1])
-                )
+        for j, msgs in enumerate(per_igroup):
+            targets = groups[j]
+            msgs.sort()
+            for k, it in enumerate(msgs):
+                assignments.setdefault(targets[k % s], []).append(it[:2])
         if strict and len(assignments) != n:
             raise ProtocolError("Alg2 Step 6: expected to send n messages")
         inbox = yield _send_bundled(assignments, 2, ctx.capacity)
-        held = sorted((it[0], it[1]) for it in _recv_bundled(inbox, 2))
+        held = _recv_bundled(inbox, 2)
+        held.sort()
         if strict and len(held) != n:
             raise ProtocolError(
                 f"Alg2 Step 6: received {len(held)} messages, expected {n}"
@@ -353,9 +387,10 @@ def lenzen_wire_program(
         # Rebalance within the (intermediate) group so every member holds a
         # balanced share per destination group.
         ctx.enter_phase("alg1.step3")
-        my_counts3 = [0] * s
-        for w in held:
-            my_counts3[dgroup(w)] += 1
+        by_dgroup: List[List[WireMsg]] = [[] for _ in range(s)]
+        for w in held:  # sorted, so every list is sorted
+            by_dgroup[w[0] // base % base // s].append(w)
+        my_counts3 = [len(msgs) for msgs in by_dgroup]
         counts3 = yield from announce_within_group(
             ctx, groups, g, r, my_counts3, ("a1s3", totals, g)
         )
@@ -378,17 +413,16 @@ def lenzen_wire_program(
                 lambda: _mod_s_demand(colors3, s),
             ),
         )
-        by_dgroup: Dict[int, List[WireMsg]] = {}
-        for w in held:
-            by_dgroup.setdefault(dgroup(w), []).append(w)
         items3: List[Tuple[int, Tuple[int, ...]]] = []
-        for j, msgs in sorted(by_dgroup.items()):
+        for j, msgs in enumerate(by_dgroup):
+            if not msgs:
+                continue
             pal = colors3[(r, j)]
             if len(pal) != len(msgs):
                 raise ProtocolError("Alg1 Step 3: demand/coloring mismatch")
-            for w, c in zip(sorted(msgs), pal):
+            for w, c in zip(msgs, pal):
                 items3.append((c % s, w))
-        received3 = yield from route_known(
+        held = yield from route_known(
             ctx,
             groups,
             g,
@@ -398,13 +432,12 @@ def lenzen_wire_program(
             ("a1s3r", counts3_t, g),
             item_width=2,
         )
-        held = [(it[0], it[1]) for it in received3]
 
-        by_dgroup = {}
+        by_dgroup = [[] for _ in range(s)]
         for w in held:
-            by_dgroup.setdefault(dgroup(w), []).append(w)
-        for j in range(s):
-            cnt = len(by_dgroup.get(j, []))
+            by_dgroup[w[0] // base % base // s].append(w)
+        for j, msgs in enumerate(by_dgroup):
+            cnt = len(msgs)
             if strict and cnt != s:
                 raise ProtocolError(
                     f"Alg1 Step 3 invariant: node holds {cnt} messages for "
@@ -418,17 +451,20 @@ def lenzen_wire_program(
         # ------------- Algorithm 1 Step 4: 1 round -------------------------
         ctx.enter_phase("alg1.step4")
         assignments = {}
-        for j in range(s):
-            for k, w in enumerate(sorted(by_dgroup.get(j, []))):
-                dest_node = part.member(j, k % s)
-                assignments.setdefault(dest_node, []).append(w)
+        for j, msgs in enumerate(by_dgroup):
+            targets = groups[j]
+            msgs.sort()
+            for k, w in enumerate(msgs):
+                assignments.setdefault(targets[k % s], []).append(w)
         inbox = yield _send_bundled(assignments, 2, ctx.capacity)
-        held = sorted((it[0], it[1]) for it in _recv_bundled(inbox, 2))
-        if any(dgroup(w) != g for w in held):
-            raise ProtocolError(
-                "Alg1 Step 4 invariant: every held message must be destined "
-                "inside this node's group"
-            )
+        held = _recv_bundled(inbox, 2)
+        held.sort()
+        for h, _ in held:
+            if h // base % base // s != g:
+                raise ProtocolError(
+                    "Alg1 Step 4 invariant: every held message must be "
+                    "destined inside this node's group"
+                )
         if strict and len(held) != n:
             raise ProtocolError(
                 f"Alg1 Step 4: node holds {len(held)} messages, expected {n}"
@@ -436,25 +472,25 @@ def lenzen_wire_program(
 
         # ------------- Algorithm 1 Step 5: 4 rounds (Cor. 3.4) -------------
         ctx.enter_phase("alg1.step5")
-        items5 = [(dest_of(w) - g * s, w) for w in held]
+        first = g * s
+        items5 = [(w[0] // base % base - first, w) for w in held]
         received5 = yield from route_unknown(
             ctx, groups, g, r, items5, ("a1s5", g), item_width=2
         )
-        unpack = codec.unpack
-        final = [
-            Message(*unpack(it[0]), payload=it[1]) for it in received5
-        ]
-        if any(m.dest != me for m in final):
+        for h, _ in received5:
+            if h // base % base != me:
+                raise ProtocolError(
+                    f"delivery invariant: node {me} received a foreign "
+                    "message"
+                )
+        if strict and len(received5) != n:
             raise ProtocolError(
-                f"delivery invariant: node {me} received a foreign message"
-            )
-        if strict and len(final) != n:
-            raise ProtocolError(
-                f"delivery invariant: node {me} received {len(final)} "
+                f"delivery invariant: node {me} received {len(received5)} "
                 f"messages, expected {n}"
             )
-        ctx.observe_live_words(2 * len(final))
-        return sorted(final)
+        ctx.observe_live_words(2 * len(received5))
+        received5.sort()
+        return received5
 
     return program
 

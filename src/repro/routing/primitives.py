@@ -90,6 +90,28 @@ def _color_map_impl(
     return by_pair, max(colors) + 1
 
 
+def _route_table(
+    demand: Demand, coloring: str, n: int
+) -> Tuple[List[List[Sequence[int]]], int]:
+    """One group's Corollary 3.3 schedule as intermediates, by rank pair.
+
+    Returns ``(rows, degree)``: ``rows[a][b]`` lists the intermediate
+    (``color mod n``) of each of rank ``a``'s items for rank ``b``, in
+    canonical order, and ``degree`` is the number of colors.  Every member
+    of the group reads its own row of the same table, so it is built once
+    per run through the shared computation; the coloring underneath is the
+    plan-cached :func:`_color_map`.  With ``degree <= n`` every color is
+    its own intermediate and the table holds the coloring's lists
+    themselves.  The table is shared by reference — callers must not
+    mutate it.
+    """
+    by_pair, degree = _color_map(demand, coloring)
+    rows: List[List[Sequence[int]]] = [[()] * len(row) for row in demand]
+    for (a, b), colors in by_pair.items():
+        rows[a][b] = colors if degree <= n else [c % n for c in colors]
+    return rows, degree
+
+
 def route_known(
     ctx: NodeContext,
     groups: Groups,
@@ -136,15 +158,15 @@ def route_known(
     if my_group is not None:
         if demand is None or my_rank is None:
             raise ProtocolError("group members must supply demand and rank")
-        member_ids = groups[my_group]
-        by_pair, degree = ctx.shared_compute(
+        n = ctx.n
+        rows, degree = ctx.shared_compute(
             ("cor33", pattern_key, my_group, demand, coloring),
-            lambda: _color_map(demand, coloring),
+            lambda: _route_table(demand, coloring, n),
         )
-        lanes = max(1, -(-degree // ctx.n))  # ceil
+        lanes = max(1, -(-degree // n))  # ceil
         if lanes > 1 and seg is None:
             raise ModelViolation(
-                f"demand degree {degree} exceeds n={ctx.n} and no item_width "
+                f"demand degree {degree} exceeds n={n} and no item_width "
                 "was given; Corollary 3.3 needs bundling (lanes) here"
             )
         if seg is not None and lanes * seg > ctx.capacity:
@@ -152,35 +174,50 @@ def route_known(
                 f"{lanes} lanes of width {seg} exceed capacity "
                 f"{ctx.capacity}"
             )
-        # Sanity: my item multiset must match my demand row.
-        counts: Dict[int, int] = {}
+        # One pass: check each item, count it against its destination and
+        # append it to its intermediate's lane buffer.  A fixed width that
+        # passed the lane check above fits in capacity - 1 words, so only a
+        # variable-width item needs the capacity test.  Items beyond their
+        # demand count get no lane: the demand check after the pass reports
+        # them, once every item's width has been checked.  The counts are
+        # keyed by rank, so a rank outside the group raises KeyError rather
+        # than wrapping around a list.
+        member_ids = groups[my_group]
+        hops = rows[my_rank]
+        taken = dict.fromkeys(range(len(hops)), 0)
+        max_words = ctx.capacity - 1
+        lanes_out: Dict[int, List[int]] = {}
         for dest_rank, item in my_items:
-            counts[dest_rank] = counts.get(dest_rank, 0) + 1
-            if item_width is not None and len(item) != item_width:
-                raise ModelViolation(
-                    f"item of {len(item)} words, declared width {item_width}"
-                )
-            if len(item) > ctx.capacity - 1:
-                raise ModelViolation(
-                    f"item of {len(item)} words exceeds capacity-1"
-                )
+            size = len(item)
+            if size != item_width:
+                if item_width is not None:
+                    raise ModelViolation(
+                        f"item of {size} words, declared width {item_width}"
+                    )
+                if size > max_words:
+                    raise ModelViolation(
+                        f"item of {size} words exceeds capacity-1"
+                    )
+            k = taken[dest_rank]
+            taken[dest_rank] = k + 1
+            via = hops[dest_rank]
+            if k < len(via):
+                if lanes == 1:
+                    # A sender's colors are distinct: one item per packet.
+                    dest = member_ids[dest_rank]
+                    outbox[via[k]] = fast_packet((dest, *item))
+                    continue
+                buf = lanes_out.get(via[k])
+                if buf is None:
+                    buf = lanes_out[via[k]] = []
+                buf.append(member_ids[dest_rank])
+                buf += item
         for b, want in enumerate(demand[my_rank]):
-            if counts.get(b, 0) != want:
+            if taken[b] != want:
                 raise ProtocolError(
-                    f"node rank {my_rank} holds {counts.get(b, 0)} items "
+                    f"node rank {my_rank} holds {taken[b]} items "
                     f"for rank {b} but demand says {want}"
                 )
-        lanes_out: Dict[int, List[int]] = {}
-        seq_per_dest: Dict[int, int] = {}
-        for dest_rank, item in my_items:
-            k = seq_per_dest.get(dest_rank, 0)
-            seq_per_dest[dest_rank] = k + 1
-            color = by_pair[(my_rank, dest_rank)][k]
-            intermediate = color % ctx.n
-            dest_global = member_ids[dest_rank]
-            lanes_out.setdefault(intermediate, []).extend(
-                (dest_global,) + tuple(item)
-            )
         for intermediate, words in lanes_out.items():
             outbox[intermediate] = fast_packet(tuple(words))
 
@@ -194,18 +231,23 @@ def route_known(
     inbox2 = yield forward
 
     # Inlined segment parse (hot path: every delivered packet every call).
+    # Packet words are tuples, so each slice is already the item tuple.
     received: List[Item] = []
     for src in sorted(inbox2):
         words = inbox2[src].words
         if not words:
             continue
         if seg is None:
-            received.append(tuple(words[1:]))
+            received.append(words[1:])
             continue
-        if len(words) % seg != 0:
-            raise bad_segment_width(len(words), seg)
-        for i in range(0, len(words), seg):
-            received.append(tuple(words[i + 1 : i + seg]))
+        size = len(words)
+        if size == seg:
+            received.append(words[1:])
+            continue
+        if size % seg != 0:
+            raise bad_segment_width(size, seg)
+        for i in range(0, size, seg):
+            received.append(words[i + 1 : i + seg])
     return received
 
 
@@ -265,12 +307,12 @@ def announce_within_group(
         chunk.extend([0] * (chunk_size - len(chunk)))
     num_chunks = len(chunks)
     base = _chunk_meta_base(w, num_chunks)
-    items: List[Tuple[int, Item]] = []
-    for b in range(w):
-        for q, chunk in enumerate(chunks):
-            meta = pack_pair(my_rank, q, base)
-            items.append((b, (meta,) + tuple(chunk)))
-    demand: Demand = tuple(tuple(num_chunks for _ in range(w)) for _ in range(w))
+    # Every member gets the same chunk items: build each once.
+    chunk_items = [
+        (pack_pair(my_rank, q, base), *chunk) for q, chunk in enumerate(chunks)
+    ]
+    items = [(b, item) for b in range(w) for item in chunk_items]
+    demand: Demand = ((num_chunks,) * w,) * w
     received = yield from route_known(
         ctx,
         groups,
@@ -281,20 +323,18 @@ def announce_within_group(
         (pattern_key, "ann"),
         item_width=1 + chunk_size,
     )
-    matrix: List[List[Optional[int]]] = [
-        [None] * len(vector) for _ in range(w)
-    ]
+    length = len(vector)
+    matrix: List[List[Optional[int]]] = [[None] * length for _ in range(w)]
     for item in received:
-        meta, payload = item[0], item[1:]
-        a, q = unpack_pair(meta, base)
+        a, q = unpack_pair(item[0], base)
         start = q * chunk_size
-        for off, value in enumerate(payload):
-            if start + off < len(vector):
-                matrix[a][start + off] = value
+        stop = min(start + chunk_size, length)
+        if start < stop:
+            matrix[a][start:stop] = item[1 : 1 + stop - start]
     for a, row in enumerate(matrix):
-        if any(v is None for v in row):
+        if None in row:
             raise ProtocolError(f"lost announcement chunk from rank {a}")
-    return [list(map(int, row)) for row in matrix]  # type: ignore[arg-type]
+    return matrix  # type: ignore[return-value]  # no None left
 
 
 def route_unknown(

@@ -10,17 +10,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import List, Optional, Sequence
 
 from ..core.errors import InvalidInstance
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Message:
     """One routable message.
 
     The lexicographic order (source, dest, seq) is the paper's global
-    message order.  ``payload`` is a single word of user data.
+    message order.  ``payload`` is a single word of user data.  Slotted:
+    no instance dict, since a run delivers ``n^2`` of them.
     """
 
     source: int
@@ -251,17 +253,38 @@ def verify_delivery(
 ) -> None:
     """Check that every node received exactly its ``R_k`` (any order).
 
+    Compares ``(source, dest, seq, payload)`` field tuples, which sort in C
+    in the same order as the messages.  They stand for the messages only
+    when every output is a :class:`Message` (nothing else equals one), so
+    any other output, and any mismatch, is judged message by message.
+
     Raises :class:`~repro.core.errors.VerificationError` on mismatch.
     """
+    fields = attrgetter("source", "dest", "seq", "payload")
+    expected: List[List[tuple]] = [[] for _ in range(instance.n)]
+    for msgs in instance.messages_by_source:
+        for m in msgs:
+            expected[m.dest].append(fields(m))
+    for k in range(instance.n):
+        got = outputs[k]
+        want = expected[k]
+        want.sort()
+        if set(map(type, got)) - {Message} or sorted(map(fields, got)) != want:
+            _report_mismatch(instance, outputs, k)
+
+
+def _report_mismatch(
+    instance: RoutingInstance, outputs: Sequence[Sequence[Message]], k: int
+) -> None:
+    """Compare node ``k``'s delivery as messages; raise on any difference."""
     from ..core.errors import VerificationError
 
-    expected = instance.expected_deliveries()
-    for k in range(instance.n):
-        got = sorted(outputs[k])
-        if got != expected[k]:
-            missing = set(expected[k]) - set(got)
-            extra = set(got) - set(expected[k])
-            raise VerificationError(
-                f"node {k}: {len(missing)} missing, {len(extra)} extra "
-                f"messages (e.g. missing={list(missing)[:3]})"
-            )
+    expected = instance.expected_deliveries()[k]
+    got = sorted(outputs[k])
+    if got != expected:
+        missing = set(expected) - set(got)
+        extra = set(got) - set(expected)
+        raise VerificationError(
+            f"node {k}: {len(missing)} missing, {len(extra)} extra "
+            f"messages (e.g. missing={list(missing)[:3]})"
+        )

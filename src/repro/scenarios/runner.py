@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis.bounds import (
@@ -180,10 +181,9 @@ class DifferentialReport:
 
 def _canonical_outputs(kind: str, outputs: Sequence[Any]) -> Any:
     if kind == "routing":
-        return tuple(
-            tuple((m.source, m.dest, m.seq, m.payload) for m in sorted(node))
-            for node in outputs
-        )
+        # Field tuples sort like the messages, without Message.__lt__.
+        fields = attrgetter("source", "dest", "seq", "payload")
+        return tuple(tuple(sorted(map(fields, node))) for node in outputs)
     if kind == "sorting":
         return tuple(tuple(node) for node in outputs)
     return repr(outputs)

@@ -35,14 +35,18 @@ from typing import Callable, Dict, Generator, List, Tuple
 from ..core.context import NodeContext
 from ..core.engine import EngineSpec
 from ..core.errors import InvalidInstance, ProtocolError
-from ..core.message import Packet
 from ..core.network import CongestedClique, RunResult
 from ..core.topology import is_perfect_square, square_groups, square_partition
-from ..core.wire import header_codec
-from ..routing.lenzen import header_base, lenzen_wire_program
+from ..core.wire import fast_packet, header_codec
+from ..routing.lenzen import header_base, lenzen_wire_route
 from ..routing.primitives import route_known
 from .problem import SortInstance
-from .subset_sort import KEYS_PER_ITEM, _announce_sentinel, subset_sort
+from .subset_sort import (
+    KEYS_PER_ITEM,
+    _announce_sentinel,
+    _key_items,
+    subset_sort,
+)
 
 #: Paper round budget (Theorem 4.5).
 ROUNDS_SORT = 37
@@ -88,7 +92,7 @@ def lenzen_sort_program(
 
         # ---- Step 2 (1 round): i-th selected key to node i. ---------------
         outbox = {
-            i: Packet((key,)) for i, key in enumerate(selected)
+            i: fast_packet((key,)) for i, key in enumerate(selected)
         }
         inbox = yield outbox
         sample_pool = sorted(pkt.words[0] for pkt in inbox.values())
@@ -126,8 +130,9 @@ def lenzen_sort_program(
             chunk = my_delims[2 * half : 2 * half + 2]
             outbox = {}
             if chunk:
+                # One immutable packet object serves every edge.
                 words = tuple(x for pair in chunk for x in pair)
-                outbox = {dst: Packet(words) for dst in range(n)}
+                outbox = dict.fromkeys(range(n), fast_packet(words))
             inbox = yield outbox
             for pkt in inbox.values():
                 for i in range(0, len(pkt.words), 2):
@@ -152,39 +157,42 @@ def lenzen_sort_program(
 
         # ---- Step 6 (16 rounds): ship bucket j to group j. ----------------
         # Each sender splits its own bucket evenly over the group members
-        # (floor/ceil shares, rotation (me + j) keeps the remainders spread),
-        # packing two keys per message payload word.
+        # (floor/ceil shares, rotation (me + j) keeps the remainders spread:
+        # key k goes to member (k + me + j) mod s), packing two keys per
+        # message payload word.
         ctx.enter_phase("alg4.route")
+        pair_base = sentinel + 1
         wire_msgs: List[Tuple[int, int]] = []
         seq = 0
         for j, bucket in enumerate(buckets):
-            shares: List[List[int]] = [[] for _ in range(s)]
-            for k, key in enumerate(bucket):
-                shares[(k + me + j) % s].append(key)
-            for b, share in enumerate(shares):
-                dest = part.member(j, b)
-                for i in range(0, len(share), 2):
-                    pair = share[i : i + 2]
-                    if len(pair) == 1:
-                        pair.append(sentinel)
-                    payload = pair[0] * (sentinel + 1) + pair[1]
+            targets = groups[j]
+            for b in range(s):
+                share = bucket[(b - me - j) % s :: s]
+                seconds = share[1::2]
+                if len(share) % 2:
+                    seconds.append(sentinel)
+                dest = targets[b]
+                for first, second in zip(share[::2], seconds):
+                    payload = first * pair_base + second
                     wire_msgs.append((pack_header(me, dest, seq), payload))
                     seq += 1
         if seq > route_load:
             raise ProtocolError(
                 f"step 6 source load {seq} exceeds bound {route_load}"
             )
-        route_table[me] = sorted(wire_msgs)
-        router = lenzen_wire_program(
+        wire_msgs.sort()
+        route_table[me] = wire_msgs
+        router = lenzen_wire_route(
             n, route_table, load_bound=route_load, strict=False
         )
         delivered = yield from router(ctx)
         bucket_keys: List[int] = []
-        for msg in delivered:
-            a, b = divmod(msg.payload, sentinel + 1)
-            for key in (a, b):
-                if key != sentinel:
-                    bucket_keys.append(key)
+        for _, payload in delivered:
+            a, b = divmod(payload, pair_base)
+            if a != sentinel:
+                bucket_keys.append(a)
+            if b != sentinel:
+                bucket_keys.append(b)
         ctx.observe_live_words(len(bucket_keys))
 
         # ---- Step 7 (8 rounds): every group sorts its bucket; each node
@@ -263,31 +271,34 @@ def _global_overlap_demand(
     n: int,
     sentinel: int,
 ):
-    """Step-8 pattern over the whole clique: run x batch overlaps, chunked."""
-    demand = [[0] * n for _ in range(n)]
+    """Step-8 pattern over the whole clique: run x batch overlaps, chunked.
+
+    A run overlaps a few consecutive batches, so each row is a shared
+    all-zero tuple with at most those cells filled in.
+    """
+    zeros = (0,) * n
+    demand = [zeros] * n
     items: List[Tuple[int, Tuple[int, ...]]] = []
     for v in range(n):
         lo, hi = offsets[v], offsets[v + 1]
         if lo == hi:
             continue
+        row = list(zeros)
         b_lo = bisect.bisect_right(t_bounds, lo) - 1
         b = max(0, min(b_lo, n - 1))
         while b < n and t_bounds[b] < hi:
             overlap = min(hi, t_bounds[b + 1]) - max(lo, t_bounds[b])
             if overlap > 0:
-                n_items = -(-overlap // KEYS_PER_ITEM)
-                demand[v][b] = n_items
+                row[b] = -(-overlap // KEYS_PER_ITEM)
                 if v == me:
                     start = max(lo, t_bounds[b]) - lo
-                    seg = run[start : start + overlap]
-                    for i in range(0, len(seg), KEYS_PER_ITEM):
-                        chunk = list(seg[i : i + KEYS_PER_ITEM])
-                        chunk.extend(
-                            [sentinel] * (KEYS_PER_ITEM - len(chunk))
-                        )
-                        items.append((b, tuple(chunk)))
+                    for chunk in _key_items(
+                        run[start : start + overlap], sentinel
+                    ):
+                        items.append((b, chunk))
             b += 1
-    return tuple(tuple(row) for row in demand), items
+        demand[v] = tuple(row)
+    return tuple(demand), items
 
 
 def sort_lenzen(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.errors import InvalidInstance, VerificationError
@@ -41,8 +42,9 @@ class KeyCodec:
                 "O(log n) bits"
             )
 
-    @property
+    @cached_property
     def seq_base(self) -> int:
+        # Cached: :meth:`tag` reads it once per key.
         return max(self.max_keys_per_node, 1)
 
     def tag(self, key: int, source: int, seq: int) -> int:

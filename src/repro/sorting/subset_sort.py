@@ -150,10 +150,7 @@ def subset_sort(
     ctx.enter_phase("alg3.exchange")
     items: List[Tuple[int, Tuple[int, ...]]] = []
     for j, bucket in enumerate(buckets):
-        for i in range(0, len(bucket), KEYS_PER_ITEM):
-            chunk = list(bucket[i : i + KEYS_PER_ITEM])
-            chunk.extend([sentinel] * (KEYS_PER_ITEM - len(chunk)))
-            items.append((j, tuple(chunk)))
+        items += [(j, chunk) for chunk in _key_items(bucket, sentinel)]
     exchange = route_unknown(
         ctx,
         groups,
@@ -316,14 +313,21 @@ def _overlap_demand(
             demand[a][b] = n_items
             if a == my_rank:
                 start = max(lo, t_lo) - lo
-                seg = run[start : start + overlap]
-                for i in range(0, len(seg), KEYS_PER_ITEM):
-                    chunk = list(seg[i : i + KEYS_PER_ITEM])
-                    chunk.extend(
-                        [sentinel] * (KEYS_PER_ITEM - len(chunk))
-                    )
-                    items.append((b, tuple(chunk)))
+                for chunk in _key_items(run[start : start + overlap], sentinel):
+                    items.append((b, chunk))
     return tuple(tuple(row) for row in demand), items
+
+
+def _key_items(keys: Sequence[int], sentinel: int) -> List[Tuple[int, ...]]:
+    """``keys`` as ``KEYS_PER_ITEM``-word items, the last padded with
+    ``sentinel``."""
+    chunks = [
+        tuple(keys[i : i + KEYS_PER_ITEM])
+        for i in range(0, len(keys), KEYS_PER_ITEM)
+    ]
+    if chunks and len(chunks[-1]) < KEYS_PER_ITEM:
+        chunks[-1] += (sentinel,) * (KEYS_PER_ITEM - len(chunks[-1]))
+    return chunks
 
 
 def _announce_sentinel(ctx: NodeContext) -> int:

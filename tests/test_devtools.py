@@ -92,7 +92,6 @@ FIXTURE_CASES = [
     ("RPR002", "rpr002_bad.py", "rpr002_good.py", 1),
     ("RPR003", "service/rpr003_bad.py", "service/rpr003_good.py", 1),
     ("RPR004", "service/rpr004_bad.py", "service/rpr004_good.py", 1),
-    ("RPR005", "rpr005_bad.py", "rpr005_good.py", 2),
     ("RPR006", "rpr006_bad.py", "rpr006_good.py", 1),
     ("RPR007", "rpr007_bad.py", "rpr007_good.py", 2),
     ("RPR008", "bench_rpr008_bad.py", "bench_rpr008_good.py", 1),
@@ -168,14 +167,6 @@ def test_pr6_fix_form_is_clean():
         "    return ticket.future\n"
     )
     assert lint_source(source, "repro/service/x.py") == []
-
-
-def test_catches_pr7_tracker_unregister():
-    source = (
-        "def detach(seg):\n"
-        "    resource_tracker.unregister(seg._name, 'shared_memory')\n"
-    )
-    assert [f.rule for f in lint_source(source, "service/x.py")] == ["RPR005"]
 
 
 # -- suppressions -------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Corollary 3.3 / 3.4 primitives: round counts, delivery, concurrency."""
 
+import re
+
 import pytest
 
-from repro.core import ModelViolation, run_protocol
+from repro.core import ModelViolation, ProtocolError, run_protocol
 from repro.routing.primitives import (
     ROUNDS_KNOWN,
     ROUNDS_UNKNOWN,
@@ -98,25 +100,58 @@ def test_concurrent_groups_disjoint():
     assert res.outputs[5] == [(4,)]
 
 
-def test_route_known_rejects_demand_item_mismatch():
+# Member-side rejections, in the order route_known checks them: an item's
+# width while counting, then each rank's count against the demand row.
+# Every case is raised by rank 0 (node 0 is primed first), under demand
+# ((1, 0), (0, 1)), at the default capacity of 8 words.
+@pytest.mark.parametrize(
+    "items,item_width,error,message",
+    [
+        pytest.param(
+            [], None, ProtocolError,
+            "node rank 0 holds 0 items for rank 0 but demand says 1",
+            id="short",
+        ),
+        # Catches a one-pass rewrite that indexes the color list before
+        # counting (IndexError instead of ProtocolError).
+        pytest.param(
+            [(7,), (8,)], None, ProtocolError,
+            "node rank 0 holds 2 items for rank 0 but demand says 1",
+            id="too-many",
+        ),
+        pytest.param(
+            [(1, 2, 3)], 2, ModelViolation,
+            "item of 3 words, declared width 2",
+            id="too-wide",
+        ),
+        pytest.param(
+            [tuple(range(8))], None, ModelViolation,
+            "item of 8 words exceeds capacity-1",
+            id="over-capacity",
+        ),
+    ],
+)
+def test_route_known_rejects_demand_item_mismatch(
+    items, item_width, error, message
+):
     groups = ((0, 1),)
 
     def prog(ctx):
         if ctx.node_id < 2:
-            # claim demand 1 but send nothing
             demand = ((1, 0), (0, 1))
+            mine = [(ctx.node_id, item) for item in items]
             yield from route_known(
-                ctx, groups, 0, ctx.node_id, [], demand, "t"
+                ctx, groups, 0, ctx.node_id, mine, demand, "t",
+                item_width=item_width,
             )
         else:
             yield from route_known(
-                ctx, groups, None, None, [], None, "t"
+                ctx, groups, None, None, [], None, "t",
+                item_width=item_width,
             )
         return None
 
-    from repro.core import ProtocolError
-
-    with pytest.raises(ProtocolError):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         run_protocol(4, prog)
 
 
